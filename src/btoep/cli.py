@@ -6,8 +6,10 @@ Subcommands:
   dpp     sample the induced determinantal point process + diagnostics
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep
 
-Exit codes: 0 success, 1 malformed input, 2 norm non-convergence,
-3 verification failure, 4 kernel rejection, 5 size cap exceeded.
+Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP
+included), 2 norm non-convergence, 3 verification failure, 4 kernel
+rejection, 5 dense cap exceeded (any subcommand that builds a dense
+matrix).
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import dpp as dpp_mod
 from . import verify as verify_mod
-from .operators import BranchingOperator, dense_cap, toeplitz_dense
+from .operators import BranchingOperator, DenseCapError, dense_cap, toeplitz_dense
 from .spectral import operator_norm
 from .symbols import Symbol
 from .tree import TreeShape
@@ -154,11 +156,12 @@ def cmd_dpp(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     try:
         kernel = dpp_mod.build_kernel(f, args.q, args.n)
+    except DenseCapError:
+        raise  # exit 5, mapped in main
     except ValueError as exc:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
-    samples = dpp_mod.sample_many(kernel, args.samples, args.seed)
     report = dpp_mod.sssp_diagnostics(kernel, args.samples, args.seed)
-    Path(args.out + ".samples.jsonl").write_text(dpp_mod.samples_to_jsonl(samples))
+    Path(args.out + ".samples.jsonl").write_text(dpp_mod.samples_to_jsonl(report.draws))
     Path(args.out + ".diagnostics.csv").write_text(report.to_csv())
     print(f"wrote {args.out}.samples.jsonl and {args.out}.diagnostics.csv")
     return EXIT_OK
@@ -205,7 +208,16 @@ def main(argv=None) -> int:
         "dpp": cmd_dpp,
         "table": cmd_table,
     }[args.command]
-    return handler(args)
+    if handler is not cmd_norm:
+        # every other subcommand builds dense matrices under the cap
+        try:
+            dense_cap()
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_INPUT)
+    try:
+        return handler(args)
+    except DenseCapError as exc:
+        return _fail(str(exc), EXIT_CAP_EXCEEDED)
 
 
 if __name__ == "__main__":

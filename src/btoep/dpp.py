@@ -147,7 +147,8 @@ class SsspReport:
     stderr); incomparable_pair_corr is the same triple for incomparable
     pairs; across_ray_spread maps distance -> (max deviation between
     per-ray estimates, allowance) as the ray-invariance check; cardinality
-    is (analytic mean, empirical mean, stderr).
+    is (analytic mean, empirical mean, stderr); draws are the samples all
+    of these are estimated from.
     """
 
     samples: int
@@ -156,6 +157,7 @@ class SsspReport:
     incomparable_pair_corr: tuple
     across_ray_spread: dict = field(default_factory=dict)
     cardinality: tuple = (0.0, 0.0, 0.0)
+    draws: list = field(default_factory=list, repr=False, compare=False)
 
     def to_csv(self) -> str:
         rows = ["statistic,analytic,empirical,stderr"]
@@ -205,30 +207,20 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
         one_point[g] = (f0, *_mean_se(block.mean(axis=1)))
 
     # comparable pairs at each distance: every vertex against its depth-d
-    # ancestor
+    # ancestor; incomparable pairs are everything else off the diagonal
     ray_pair = {}
-    idx = np.arange(kernel.dim)
+    comp = np.eye(kernel.dim, dtype=bool)
     gen_of = np.concatenate([np.full(q**g, g) for g in range(n + 1)])
     offs = np.concatenate([np.arange(q**g) for g in range(n + 1)])
     for d in range(1, n + 1):
-        mask = gen_of >= d
-        u = idx[mask]
-        anc = np.array([starts[g - d] + (k // q**d) for g, k in zip(gen_of[mask], offs[mask])])
+        u = np.flatnonzero(gen_of >= d)
+        anc = np.asarray(starts)[gen_of[u] - d] + offs[u] // q**d
         analytic = f0**2 - q ** (-d) * abs(kernel.symbol.coeff(d)) ** 2
         per_sample = (X[:, u] * X[:, anc]).mean(axis=1)
         ray_pair[d] = (analytic, *_mean_se(per_sample))
-
-    # incomparable pairs: everything else off the diagonal
-    comp = np.zeros((kernel.dim, kernel.dim), dtype=bool)
-    for d in range(1, n + 1):
-        mask = gen_of >= d
-        u = idx[mask]
-        anc = np.array([starts[g - d] + (k // q**d) for g, k in zip(gen_of[mask], offs[mask])])
         comp[u, anc] = True
         comp[anc, u] = True
-    iu, iv = np.where(~comp & ~np.eye(kernel.dim, dtype=bool))
-    upper = iu < iv
-    iu, iv = iu[upper], iv[upper]
+    iu, iv = np.where(np.triu(~comp))
     per_sample = (X[:, iu] * X[:, iv]).mean(axis=1)
     incomparable = (f0**2, *_mean_se(per_sample))
 
@@ -260,4 +252,5 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
         incomparable_pair_corr=incomparable,
         across_ray_spread=spread,
         cardinality=cardinality,
+        draws=draws,
     )

@@ -1,25 +1,26 @@
 """Matrix-free branching-Toeplitz operators on truncated rooted trees.
 
-A weight vector a on the unit sphere of C^q and a symbol f define a kernel
-on pairs of comparable vertices: if u sits m generations below v the entry
-is h(m) times the product of the weight components along the descent path,
-if u sits m generations above v it is h(-m) times the conjugate of that
-path product, and incomparable pairs get zero.  The uniform weight
+A symbol f and a weight tuple A_1..A_q of d x d matrices define a kernel
+on pairs of comparable vertices: if u sits m generations below v the
+(u, v) block is h(m) times the path product A_{k_m} ... A_{k_1} of the
+descent k_1..k_m from v to u (the last step leftmost), if u sits m
+generations above v it is h(-m) times the adjoint of that product, and
+incomparable pairs get zero.  Scalar weights are the case d = 1: a unit
+vector a in C^q gives BranchingOperator, the uniform weight
 a = (1/sqrt(q), ..., 1/sqrt(q)) gives path products q^(-m/2) and the
-classical damped kernel; q = 1 gives the ordinary Toeplitz matrix.
+classical damped kernel, and q = 1 gives the ordinary Toeplitz matrix.
+The operator-valued functions run at d = A.dim.
 
-apply() never materializes the matrix.  Descendant contributions come from
-a bottom-up recursion of weighted child sums (one pass per coefficient
-h(-m)), ancestor contributions from a top-down recursion of weighted
-parent values (one pass per h(m)); with the generation-major vertex layout
-both passes are single reshape/repeat products, O(n * |B_n| * q) work
-total.  Dense materialization is a test oracle guarded by a size cap
-(default 4096 rows, override with the BTOEP_DENSE_CAP environment
-variable).
-
-The operator-valued variant replaces weight components by d x d matrices
-A_1..A_q; path products then order-sensitively multiply factors from the
-last descent step down to the first.
+One private engine, _Kernel, produces every entry, product and dense
+matrix for both weight kinds.  apply() never materializes the matrix.
+Descendant contributions come from a bottom-up recursion of weighted
+child sums (one pass per coefficient h(-m)), ancestor contributions from
+a top-down recursion of weighted parent values (one pass per h(m)); with
+the generation-major vertex layout both passes are single reshape/repeat
+products, O(n * |B_n| * q * d^2) work in total.  Dense materialization is a
+test oracle guarded by a size cap (default 4096 rows, override with the
+BTOEP_DENSE_CAP environment variable); going over it raises
+DenseCapError.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "OperatorTuple",
     "op_valued_entry",
     "op_valued_materialize",
+    "DenseCapError",
     "dense_cap",
     "matrix_to_csv",
     "matrix_to_json",
@@ -52,14 +54,22 @@ DEFAULT_DENSE_CAP = 4096
 WEIGHT_NORM_TOL = 1e-12
 
 
+class DenseCapError(ValueError):
+    """A dense matrix would have more rows than the dense cap allows."""
+
+
 def dense_cap() -> int:
-    return int(os.environ.get("BTOEP_DENSE_CAP", DEFAULT_DENSE_CAP))
+    raw = os.environ.get("BTOEP_DENSE_CAP", str(DEFAULT_DENSE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"BTOEP_DENSE_CAP must be an integer, got {raw!r}") from None
 
 
 def _check_cap(rows: int) -> None:
     cap = dense_cap()
     if rows > cap:
-        raise ValueError(f"dense materialization of {rows} rows exceeds cap {cap}")
+        raise DenseCapError(f"dense materialization of {rows} rows exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,109 @@ class WeightVector:
         return np.array(self.entries, dtype=complex)
 
 
+class _Kernel:
+    """The kernel of a symbol and a (q, d, d) weight stack on a truncated tree.
+
+    uniform marks the scalar weight 1/sqrt(q), whose path products entry()
+    and materialize() take as the exact q^(-m/2).
+    """
+
+    def __init__(self, weights: np.ndarray, shape: TreeShape, symbol: Symbol, uniform: bool = False):
+        if weights.shape[0] != shape.q:
+            raise ValueError(f"operator tuple has {weights.shape[0]} matrices but tree arity is {shape.q}")
+        weights.flags.writeable = False
+        self.weights = weights
+        self.shape = shape
+        self.symbol = symbol
+        self.uniform = uniform
+
+    def _path(self, offsets, m: int) -> np.ndarray:
+        """Path products A[k_m] ... A[k_1] of the depth-m descents ending at
+        the given offsets, the last descent step leftmost."""
+        q, d = self.shape.q, self.weights.shape[1]
+        if self.uniform:
+            return q ** (-m / 2) * np.eye(d, dtype=complex)
+        P = np.eye(d, dtype=complex)
+        for i in range(m):
+            P = P @ self.weights[offsets // q**i % q]
+        return P
+
+    def entry(self, u: Vertex, v: Vertex) -> np.ndarray:
+        """d x d block at (row u, column v)."""
+        rel = comparability(u, v, self.shape)
+        if rel.relation is Relation.INCOMPARABLE:
+            return np.zeros(self.weights.shape[1:], dtype=complex)
+        if rel.relation is Relation.U_ANCESTOR_OF_V:
+            return self.symbol.coeff(-rel.distance) * self._path(v.offset, rel.distance).conj().T
+        return self.symbol.coeff(rel.distance) * self._path(u.offset, rel.distance)
+
+    def apply(self, x) -> np.ndarray:
+        """Kernel times a vertex-major vector of |B_n| d entries."""
+        shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (shape.vertex_count * d,):
+            raise ValueError(f"expected vector of length {shape.vertex_count * d}, got shape {x.shape}")
+        x = x.reshape(-1, d)
+        starts = shape.generation_starts
+        coeff = self.symbol.coeff
+        radius = min(n, self.symbol.support_radius)
+        # row j*d + a, column b holds conj(A_j[a, b]), so D @ down sums A_j^* D_j
+        down = self.weights.conj().reshape(q * d, d)
+        # up[b] holds A_j[e, b] at j*d + e
+        up = self.weights.transpose(2, 0, 1).reshape(d, q * d)
+
+        y = coeff(0) * x
+
+        # descendant sums: D holds, per surviving vertex, the adjoint
+        # path-weighted sum of x over its depth-m descendants
+        D = x
+        for m in range(1, radius + 1):
+            D = D[1:].reshape(-1, q * d) @ down
+            c = coeff(-m)
+            if c != 0:
+                y[: D.shape[0]] += c * D
+
+        # ancestor walk: U holds, per vertex of generation >= m, the path
+        # product times the value of x at its depth-m ancestor; child j of
+        # each parent gets A_j times the parent's value
+        U = x
+        for m in range(1, radius + 1):
+            parents = U[: starts[n] - starts[m - 1]]
+            U = np.repeat(parents[:, 0], q * d) * np.tile(up[0], parents.shape[0])
+            for b in range(1, d):
+                U = U + np.repeat(parents[:, b], q * d) * np.tile(up[b], parents.shape[0])
+            U = U.reshape(-1, d)
+            c = coeff(m)
+            if c != 0:
+                y[starts[m] :] += c * U
+
+        return y.reshape(-1)
+
+    def materialize(self) -> np.ndarray:
+        """Dense (|B_n| d) x (|B_n| d) matrix of d x d blocks."""
+        shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
+        N = shape.vertex_count
+        _check_cap(N * d)
+        starts = shape.generation_starts
+        coeff = self.symbol.coeff
+        radius = min(n, self.symbol.support_radius)
+        M = np.zeros((N * d, N * d), dtype=complex)
+        np.fill_diagonal(M, coeff(0))
+        blocks = M.reshape(N, d, N, d)
+        for g in range(1, n + 1):
+            k = np.arange(q**g)
+            rows = starts[g] + k
+            for m in range(1, min(g, radius) + 1):
+                P = self._path(k, m)
+                cols = starts[g - m] + k // q**m
+                cd, cu = coeff(m), coeff(-m)
+                if cd != 0:
+                    blocks[rows, :, cols, :] = cd * P
+                if cu != 0:
+                    blocks[cols, :, rows, :] = cu * P.conj().swapaxes(-1, -2)
+        return M
+
+
 class BranchingOperator:
     """Truncated branching-Toeplitz operator with scalar weights.
 
@@ -96,18 +209,15 @@ class BranchingOperator:
 
     def __init__(self, weights, shape: TreeShape, symbol: Symbol, *, _uniform=False):
         if isinstance(weights, WeightVector):
-            weights = weights.as_array()
+            weights = weights.entries
         weights = np.asarray(weights, dtype=complex)
-        if weights.ndim != 1 or weights.shape[0] != shape.q:
+        if weights.shape != (shape.q,):
             raise ValueError(f"expected {shape.q} weight entries, got shape {weights.shape}")
-        norm = np.linalg.norm(weights)
-        if abs(norm - 1.0) > WEIGHT_NORM_TOL:
-            raise ValueError(f"weight vector norm {norm} differs from 1 by more than {WEIGHT_NORM_TOL}")
-        self._weights = weights
-        self._weights.flags.writeable = False
+        stack = WeightVector(weights).as_array().reshape(-1, 1, 1)
         self.shape = shape
         self.symbol = symbol
         self.uniform = bool(_uniform)
+        self._kernel = _Kernel(stack, shape, symbol, self.uniform)
 
     @classmethod
     def uniform(cls, q: int, depth: int, symbol: Symbol) -> "BranchingOperator":
@@ -125,7 +235,7 @@ class BranchingOperator:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
+        return self._kernel.weights[:, 0, 0]
 
     @property
     def dim(self) -> int:
@@ -134,98 +244,23 @@ class BranchingOperator:
     def adjoint(self) -> "BranchingOperator":
         """Operator whose dense matrix is the conjugate transpose of this one."""
         return BranchingOperator(
-            self._weights, self.shape, conjugate(self.symbol), _uniform=self.uniform
+            self.weights, self.shape, conjugate(self.symbol), _uniform=self.uniform
         )
-
-    # -- kernel entries ----------------------------------------------------
-
-    def _path_weight(self, digits) -> complex:
-        if self.uniform:
-            return self.shape.q ** (-len(digits) / 2)
-        w = 1.0 + 0j
-        for d in digits:
-            w *= self._weights[d]
-        return w
 
     def entry(self, u: Vertex, v: Vertex) -> complex:
         """Kernel entry at (row u, column v)."""
-        rel = comparability(u, v, self.shape)
-        if rel.relation is Relation.EQUAL:
-            return self.symbol.coeff(0)
-        if rel.relation is Relation.V_ANCESTOR_OF_U:
-            # u lies rel.distance generations below v
-            return self.symbol.coeff(rel.distance) * self._path_weight(rel.digits)
-        if rel.relation is Relation.U_ANCESTOR_OF_V:
-            return self.symbol.coeff(-rel.distance) * np.conj(self._path_weight(rel.digits))
-        return 0j
-
-    # -- matrix-free application -------------------------------------------
+        return self._kernel.entry(u, v)[0, 0]
 
     def apply(self, x) -> np.ndarray:
         """y[u] = sum_v entry(u, v) x[v] without forming the matrix."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got shape {x.shape}")
-        shape, q, n = self.shape, self.shape.q, self.shape.depth
-        starts = shape.generation_starts
-        a = self._weights
-        a_conj = a.conj()
-        coeff = self.symbol.coeff
-        depth_used = min(n, self.symbol.support_radius)
-
-        y = coeff(0) * x
-
-        # descendant sums: D holds, per surviving vertex, the conjugate
-        # path-weighted sum of x over its depth-m descendants
-        D = x
-        for m in range(1, depth_used + 1):
-            D = D[1:].reshape(-1, q) @ a_conj
-            c = coeff(-m)
-            if c != 0:
-                y[: D.shape[0]] += c * D
-
-        # ancestor walk: U holds, per vertex of generation >= m, the path
-        # product times the value of x at its depth-m ancestor
-        U = x
-        for m in range(1, depth_used + 1):
-            parents = U[: starts[n] - starts[m - 1]]
-            U = np.repeat(parents, q) * np.tile(a, parents.shape[0])
-            c = coeff(m)
-            if c != 0:
-                y[starts[m] :] += c * U
-
-        return y
+        return self._kernel.apply(x)
 
     def apply_adjoint(self, x) -> np.ndarray:
         return self.adjoint().apply(x)
 
-    # -- dense oracle --------------------------------------------------------
-
     def materialize(self) -> np.ndarray:
         """Dense matrix M[linear_index(u), linear_index(v)] = entry(u, v)."""
-        _check_cap(self.dim)
-        shape, q, n = self.shape, self.shape.q, self.shape.depth
-        starts = shape.generation_starts
-        coeff = self.symbol.coeff
-        radius = min(n, self.symbol.support_radius)
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        np.fill_diagonal(M, coeff(0))
-        for g in range(1, n + 1):
-            k = np.arange(q**g)
-            rows = starts[g] + k
-            path = np.ones(q**g, dtype=complex)
-            for m in range(1, min(g, radius) + 1):
-                if self.uniform:
-                    path = np.full(q**g, q ** (-m / 2), dtype=complex)
-                else:
-                    path = path * self._weights[(k // q ** (m - 1)) % q]
-                cols = starts[g - m] + k // q**m
-                cd, cu = coeff(m), coeff(-m)
-                if cd != 0:
-                    M[rows, cols] = cd * path
-                if cu != 0:
-                    M[cols, rows] = cu * path.conj()
-        return M
+        return self._kernel.materialize()
 
 
 @dataclass(frozen=True)
@@ -293,67 +328,14 @@ class OperatorTuple:
         return float(np.linalg.norm(s, 2))
 
 
-def _op_path_product(A: OperatorTuple, offset: int, m: int, q: int) -> np.ndarray:
-    """Matrix path product for the depth-m descent ending at the given offset.
-
-    Factors multiply from the last descent step (leftmost) down to the
-    first, which is the order the semigroup word prescribes under the
-    child-prepending identification.
-    """
-    P = np.eye(A.dim, dtype=complex)
-    k = offset
-    for _ in range(m):
-        P = P @ A.matrices[k % q]
-        k //= q
-    return P
-
-
 def op_valued_entry(A: OperatorTuple, f: Symbol, u: Vertex, v: Vertex, shape: TreeShape) -> np.ndarray:
     """d x d block of the operator-valued kernel at (row u, column v)."""
-    if A.q != shape.q:
-        raise ValueError(f"operator tuple has {A.q} matrices but tree arity is {shape.q}")
-    d = A.dim
-    rel = comparability(u, v, shape)
-    if rel.relation is Relation.EQUAL:
-        return f.coeff(0) * np.eye(d, dtype=complex)
-    if rel.relation is Relation.V_ANCESTOR_OF_U:
-        W = _op_path_product(A, u.offset, rel.distance, shape.q)
-        return f.coeff(rel.distance) * W
-    if rel.relation is Relation.U_ANCESTOR_OF_V:
-        W = _op_path_product(A, v.offset, rel.distance, shape.q)
-        return f.coeff(-rel.distance) * W.conj().T
-    return np.zeros((d, d), dtype=complex)
+    return _Kernel(A.matrices, shape, f).entry(u, v)
 
 
 def op_valued_materialize(A: OperatorTuple, f: Symbol, shape: TreeShape) -> np.ndarray:
     """Dense (|B_n| d) x (|B_n| d) block matrix of the operator-valued kernel."""
-    if A.q != shape.q:
-        raise ValueError(f"operator tuple has {A.q} matrices but tree arity is {shape.q}")
-    d = A.dim
-    N = shape.vertex_count
-    _check_cap(N * d)
-    q, n = shape.q, shape.depth
-    starts = shape.generation_starts
-    radius = min(n, f.support_radius)
-    M = np.zeros((N * d, N * d), dtype=complex)
-    c0 = f.coeff(0)
-    for i in range(N):
-        M[i * d : (i + 1) * d, i * d : (i + 1) * d] = c0 * np.eye(d)
-    for g in range(1, n + 1):
-        for k in range(q**g):
-            u = starts[g] + k
-            P = np.eye(d, dtype=complex)
-            kk = k
-            for m in range(1, min(g, radius) + 1):
-                P = P @ A.matrices[kk % q]
-                kk //= q
-                v = starts[g - m] + kk
-                cd, cu = f.coeff(m), f.coeff(-m)
-                if cd != 0:
-                    M[u * d : (u + 1) * d, v * d : (v + 1) * d] = cd * P
-                if cu != 0:
-                    M[v * d : (v + 1) * d, u * d : (u + 1) * d] = cu * P.conj().T
-    return M
+    return _Kernel(A.matrices, shape, f).materialize()
 
 
 # -- dense matrix export ----------------------------------------------------

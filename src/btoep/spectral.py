@@ -30,11 +30,13 @@ __all__ = [
     "operator_norm_dense",
     "radial_basis",
     "radial_compress",
+    "radial_blocks",
     "block_norms",
     "BlockNorms",
     "certify_positive",
     "singular_values",
     "norming_vector",
+    "sup_branching_norm",
     "cn_sandwich",
 ]
 
@@ -45,6 +47,7 @@ BLOCK_MAX_TOL = 1e-9
 RADIAL_TOL = 1e-8
 NORM_TIE_TOL = 1e-10
 SANDWICH_TOL = 1e-9
+SANDWICH_DENSE_ROWS = 1024
 
 
 class NormMethod(Enum):
@@ -157,6 +160,25 @@ class BlockNorms:
     total: float
 
 
+def radial_blocks(M: np.ndarray, shape):
+    """(cross, BlockNorms) of a dense matrix split along the radial subspace.
+
+    cross is the largest entry of the off-diagonal blocks P M Q and Q M P,
+    with P = H H^T the rank-(n+1) radial projector and Q = I - P; both are
+    applied through H, never formed.
+    """
+    H = radial_basis(shape)
+    A = H.T @ M  # (n+1, N)
+    R = A @ H  # radial block in the h-basis
+    QMP = (M @ H - H @ R) @ H.T
+    cross = max(np.abs(H @ (A - R @ H.T)).max(), np.abs(QMP).max())
+    QMQ = M - H @ A - QMP
+    norms = BlockNorms(
+        float(np.linalg.norm(R, 2)), float(np.linalg.norm(QMQ, 2)), float(np.linalg.norm(M, 2))
+    )
+    return float(cross), norms
+
+
 def block_norms(op: BranchingOperator) -> BlockNorms:
     """Norms of the restrictions to the radial subspace and its complement.
 
@@ -165,21 +187,12 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     """
     if not op.uniform:
         raise ValueError("block decomposition requires uniform weights")
-    M = op.materialize()
-    H = radial_basis(op.shape)
-    P = H @ H.T
-    Q = np.eye(op.dim) - P
-    cross = max(np.abs(P @ M @ Q).max(), np.abs(Q @ M @ P).max())
+    cross, norms = radial_blocks(op.materialize(), op.shape)
     if cross > CROSS_BLOCK_TOL:
         raise AssertionError(f"cross block of size {cross} exceeds {CROSS_BLOCK_TOL}")
-    radial = float(np.linalg.norm(H.T @ M @ H, 2))
-    complement = float(np.linalg.norm(Q @ M @ Q, 2))
-    total = float(np.linalg.norm(M, 2))
-    if abs(total - max(radial, complement)) > BLOCK_MAX_TOL:
-        raise AssertionError(
-            f"total norm {total} differs from max block norm {max(radial, complement)}"
-        )
-    return BlockNorms(radial, complement, total)
+    if abs(norms.total - max(norms.radial, norms.complement)) > BLOCK_MAX_TOL:
+        raise AssertionError(f"total norm differs from max block norm: {norms}")
+    return norms
 
 
 def certify_positive(matrix_or_op, tol: float = 1e-9):
@@ -232,31 +245,38 @@ def norming_vector(op: BranchingOperator):
     return vec, achieved, bool(resid <= RADIAL_TOL)
 
 
-def cn_sandwich(f: Symbol, n: int, q_max: int, dense_threshold: int = 1024):
+def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
+    """sup over q in [2, q_max] of the uniform-weight branching norm.
+
+    Vertex counts up to SANDWICH_DENSE_ROWS (and the dense cap) use the
+    dense SVD; larger trees fall back to the matrix-free power iteration,
+    whose estimate approaches the norm from below and therefore cannot
+    fake a sandwich violation on either side (the small-q dense values
+    already anchor the lower bound).
+    """
+    sup = 0.0
+    for q in range(2, q_max + 1):
+        op = BranchingOperator.uniform(q, n, f)
+        if op.dim <= min(SANDWICH_DENSE_ROWS, dense_cap()):
+            est = operator_norm_dense(op).norm_estimate
+        else:
+            est = operator_norm(op, tol=1e-10, max_iter=5000).norm_estimate
+        sup = max(sup, est)
+    return sup
+
+
+def cn_sandwich(f: Symbol, n: int, q_max: int):
     """(toeplitz_norm, sup over q in [2, q_max] of the branching norm, ratio).
 
     The minimal sup-norm of any extension matching the first n coefficient
     pairs is sandwiched between the Toeplitz norm and three times it, and
     every branching norm is a lower bound for it; those inequalities are
     asserted here (tolerance 1e-9).
-
-    Vertex counts up to dense_threshold use the dense SVD; larger trees
-    fall back to the matrix-free power iteration, whose estimate
-    approaches the norm from below and therefore cannot fake a sandwich
-    violation on either side (the small-q dense values already anchor the
-    lower bound).
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     t_norm = float(np.linalg.norm(toeplitz_dense(f, n), 2))
-    sup = 0.0
-    for q in range(2, q_max + 1):
-        op = BranchingOperator.uniform(q, n, f)
-        if op.dim <= min(dense_threshold, dense_cap()):
-            est = operator_norm_dense(op).norm_estimate
-        else:
-            est = operator_norm(op, tol=1e-10, max_iter=5000).norm_estimate
-        sup = max(sup, est)
+    sup = sup_branching_norm(f, n, q_max)
     if not (t_norm - SANDWICH_TOL <= sup <= 3 * t_norm + SANDWICH_TOL):
         raise AssertionError(
             f"sandwich violated: toeplitz={t_norm}, sup branching={sup}"

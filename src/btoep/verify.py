@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BranchingOperator, toeplitz_dense
-from .spectral import radial_basis, radial_compress, singular_values
+from .spectral import radial_blocks, radial_compress, singular_values, sup_branching_norm
 from .symbols import Symbol, fejer_kernel, poly_product
 
 __all__ = [
@@ -118,18 +118,9 @@ def run_block_decomposition(
                 f = random_symbol(rng, rng.integers(1, n + 1))
                 op = BranchingOperator.uniform(q, n, f)
                 M = _maybe_fuzz(op.materialize(), fuzz)
-                H = radial_basis(op.shape)
-                P = H @ H.T
-                Q = np.eye(op.dim) - P
-                worst_cross = max(
-                    worst_cross,
-                    float(np.abs(P @ M @ Q).max()),
-                    float(np.abs(Q @ M @ P).max()),
-                )
-                total = np.linalg.norm(M, 2)
-                rad = np.linalg.norm(H.T @ M @ H, 2)
-                comp = np.linalg.norm(Q @ M @ Q, 2)
-                worst_norm = max(worst_norm, float(abs(total - max(rad, comp))))
+                cross, b = radial_blocks(M, op.shape)
+                worst_cross = max(worst_cross, cross)
+                worst_norm = max(worst_norm, abs(b.total - max(b.radial, b.complement)))
     passed = worst_cross <= cross_tol and worst_norm <= norm_tol
     return SuiteResult(
         "block_decomposition",
@@ -245,10 +236,7 @@ def run_cn_sandwich(seed=5, trials=20, n_max=4, q_max=8, fuzz=False) -> SuiteRes
         n = int(rng.integers(1, n_max + 1))
         f = random_symbol(rng, rng.integers(1, n + 1))
         t_norm = float(np.linalg.norm(_maybe_fuzz(toeplitz_dense(f, n), fuzz), 2))
-        sup = 0.0
-        for q in range(2, q_max + 1):
-            op = BranchingOperator.uniform(q, n, f)
-            sup = max(sup, float(np.linalg.norm(op.materialize(), 2)))
+        sup = sup_branching_norm(f, n, q_max)
         violation = max(t_norm - sup, sup - 3 * t_norm, 0.0)
         worst = max(worst, violation)
     return SuiteResult("cn_sandwich", worst <= tol, worst, tol)

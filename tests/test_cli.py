@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from btoep import dpp
 from btoep.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT,
@@ -11,6 +12,7 @@ from btoep.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from btoep.symbols import Symbol
 
 CONST_ONE = '{"coeffs": [[0, 1, 0]]}'
 SKEW = '{"coeffs": [[-1, -0.6, 0], [0, 0.8, 0], [1, 0.6, 0]]}'
@@ -143,6 +145,30 @@ class TestDpp:
         assert not (tmp_path / "bad.samples.jsonl").exists()
         assert not (tmp_path / "bad.diagnostics.csv").exists()
 
+    def test_draws_each_sample_once(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        sample = dpp.sample
+        monkeypatch.setattr(dpp, "sample", lambda k, s: draws.append(s) or sample(k, s))
+        out = tmp_path / "run"
+        code = main(
+            ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2",
+             "--samples", "1000", "--seed", "11", "--out", str(out)]
+        )
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert len(draws) == 1000
+        monkeypatch.undo()
+        kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
+        expected = dpp.sssp_diagnostics(kernel, 1000, 11).to_csv()
+        assert (tmp_path / "run.diagnostics.csv").read_text() == expected
+
+    def test_cap_exceeded(self, tmp_path, capsys):
+        code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "13",
+                     "--samples", "1000", "--out", str(tmp_path / "big")])
+        assert code == EXIT_CAP_EXCEEDED
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "big.samples.jsonl").exists()
+
     def test_rejects_bad_sample_count(self, capsys):
         code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2",
                      "--samples", "10"])
@@ -186,3 +212,24 @@ class TestTable:
         assert code == EXIT_OK
         assert data["columns"] == ["q", "n", "branching_norm", "toeplitz_norm", "gap"]
         assert len(data["rows"]) == 4
+
+
+class TestDenseCapSetting:
+    def test_verify_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("BTOEP_DENSE_CAP", "50")
+        code = main(["verify", "--trials", "1"])
+        assert code == EXIT_CAP_EXCEEDED
+        assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"],
+        ["verify", "--trials", "1"],
+        ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"],
+    ])
+    def test_malformed_cap(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("BTOEP_DENSE_CAP", "abc")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error:") and "BTOEP_DENSE_CAP" in captured.err
+        assert captured.out == ""

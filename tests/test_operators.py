@@ -5,6 +5,7 @@ import pytest
 
 from btoep.operators import (
     BranchingOperator,
+    DenseCapError,
     OperatorTuple,
     WeightVector,
     gauge_transform,
@@ -14,6 +15,7 @@ from btoep.operators import (
     op_valued_materialize,
     toeplitz,
     toeplitz_dense,
+    _Kernel,
 )
 from btoep.symbols import Symbol
 from btoep.tree import Relation, TreeShape, Vertex, comparability, vertex_from_index
@@ -111,10 +113,13 @@ class TestApply:
 
     @pytest.mark.parametrize("q,n_max", [(1, 6), (2, 6), (3, 6), (5, 5)])
     def test_matches_dense_on_random_vectors(self, q, n_max):
-        # dense sweep stops at the cap: |B_6(T_5)| would need 19531 rows
+        # dense sweep stops at the cap: |B_6(T_5)| would need 19531 rows.
+        # After the sweep come n = 0, the empty symbol (radius -1 draws no
+        # coefficients) and a radius above n.
         rng = np.random.default_rng(10 + q)
-        for n in range(1, n_max + 1):
-            f = random_symbol(rng, min(n, 3))
+        sizes = [(n, min(n, 3)) for n in range(1, n_max + 1)] + [(0, 2), (2, -1), (2, 4)]
+        for n, radius in sizes:
+            f = random_symbol(rng, radius)
             for op in (
                 BranchingOperator.uniform(q, n, f),
                 BranchingOperator.with_weights(random_weights(rng, q), n, f),
@@ -207,7 +212,7 @@ class TestMaterialize:
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("BTOEP_DENSE_CAP", "10")
         op = BranchingOperator.uniform(2, 4, Symbol({0: 1}))
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(DenseCapError, match="cap"):
             op.materialize()
 
     def test_env_cap_override(self, monkeypatch):
@@ -374,6 +379,19 @@ class TestOperatorValued:
         M = op_valued_materialize(A, fejer_kernel(3), TreeShape(2, 3))
         min_eig = np.linalg.eigvalsh(M).min()
         assert min_eig >= -1e-9
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_engine_apply_matches_dense(self, q):
+        rng = np.random.default_rng(30 + q)
+        A = self.rand_tuple(rng, q=q)
+        f = random_symbol(rng, 2)
+        shape = TreeShape(q, 3)
+        M = op_valued_materialize(A, f, shape)
+        kernel = _Kernel(A.matrices, shape, f)
+        for _ in range(10):
+            x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+            dense = M @ x
+            assert np.linalg.norm(kernel.apply(x) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(17)

@@ -17,7 +17,7 @@ from btoep.spectral import (
     singular_values,
 )
 from btoep.symbols import Symbol, sup_norm
-from btoep.verify import random_symbol, random_unit_weights
+from btoep.verify import random_symbol, random_unit_weights, run_cn_sandwich
 
 SKEW = Symbol({-1: -0.6, 0: 0.8, 1: 0.6})
 
@@ -254,6 +254,11 @@ class TestCnSandwich:
     def test_rejects_small_qmax(self):
         with pytest.raises(ValueError):
             cn_sandwich(Symbol({0: 1}), 2, 1)
+
+    def test_verify_suite_at_defaults(self):
+        # q_max = 8 reaches trees (q=8, n=4: 4681 rows) above the dense cap
+        result = run_cn_sandwich()
+        assert result.passed, result
 
 
 class TestTruncationMonotonicity:
