@@ -5,8 +5,9 @@ Three views of the same decomposition:
      matrix of the symbol, entry for entry;
   2. the matrix is block diagonal across radial/complement, and the norm
      is the max of the block norms;
-  3. the full singular value list is the union of the singular values of
-     the Toeplitz truncations T_n, T_{n-1} x (q-1), T_{n-2} x (q-1)q, ...
+  3. the full singular value list, from a dense SVD, is the union of the
+     singular values of the Toeplitz truncations T_n, T_{n-1} x (q-1),
+     T_{n-2} x (q-1)q, ..., which is what singular_values returns.
 """
 
 import numpy as np
@@ -29,13 +30,10 @@ def main():
     print(f"block norms: radial {bn.radial:.8f}, complement {bn.complement:.8f}, "
           f"total {bn.total:.8f}")
 
-    s = np.sort(singular_values(op))
-    pieces = [np.linalg.svd(toeplitz_dense(F, N), compute_uv=False)]
-    for k in range(1, N + 1):
-        sv = np.linalg.svd(toeplitz_dense(F, N - k), compute_uv=False)
-        pieces.extend([sv] * ((Q - 1) * Q ** (k - 1)))
-    predicted = np.sort(np.concatenate(pieces))
-    print(f"singular multiset vs chain prediction: max dev {np.abs(s - predicted).max():.2e}")
+    # singular_values solves the Toeplitz blocks; the dense SVD measures
+    s = np.sort(np.linalg.svd(op.materialize(), compute_uv=False))
+    predicted = np.sort(singular_values(op))
+    print(f"dense singular values vs Toeplitz-block multiset: max dev {np.abs(s - predicted).max():.2e}")
     print(f"top five singular values: {np.round(s[::-1][:5], 8)}")
 
 

@@ -23,17 +23,23 @@ from btoep.tree import TreeShape
 F = Symbol({-1: 0.3 + 0.4j, 0: 1, 1: -0.5})
 
 
+def dense_singular_values(op):
+    return np.linalg.svd(op.materialize(), compute_uv=False)
+
+
 def main():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     a /= np.linalg.norm(a)
 
+    # singular_values solves the Toeplitz blocks, which ignore the weights;
+    # the dense SVD of the weighted and gauged matrices is the measurement
     s_uniform = np.sort(singular_values(BranchingOperator.uniform(3, 3, F)))
-    s_weighted = np.sort(singular_values(BranchingOperator.with_weights(a, 3, F)))
+    s_weighted = np.sort(dense_singular_values(BranchingOperator.with_weights(a, 3, F)))
     print(f"weighted vs uniform singular values: max dev {np.abs(s_uniform - s_weighted).max():.2e}")
 
     op = BranchingOperator.uniform(3, 3, F)
-    s_gauged = np.sort(singular_values(gauge_transform(op, 1.1)))
+    s_gauged = np.sort(dense_singular_values(gauge_transform(op, 1.1)))
     print(f"gauge transform singular values:     max dev {np.abs(s_uniform - s_gauged).max():.2e}")
 
     mats = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))

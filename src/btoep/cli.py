@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP
 included), 2 norm non-convergence, 3 verification failure, 4 kernel
-rejection, 5 dense cap exceeded (any subcommand that builds a dense
-matrix).
+rejection, 5 size limit exceeded: the dense cap in any subcommand that
+builds a dense matrix, or the MAX_NORM_VERTICES limit of norm.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -27,7 +27,7 @@ import numpy as np
 from . import dpp as dpp_mod
 from . import verify as verify_mod
 from .operators import BranchingOperator, DenseCapError, dense_cap, toeplitz_dense
-from .spectral import operator_norm
+from .spectral import operator_norm, singular_values
 from .symbols import Symbol
 from .tree import TreeShape
 
@@ -37,6 +37,13 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_KERNEL_REJECTED = 4
 EXIT_CAP_EXCEEDED = 5
+
+# norm refuses larger trees before allocating: a complex vector of 2**26
+# entries takes 1 GiB and the power iteration holds several at once
+MAX_NORM_VERTICES = 2**26
+# the exact norm ||T_n|| that norm reports on stderr is a dense SVD of
+# order n + 1; only q = 1 can reach this order under MAX_NORM_VERTICES
+EXACT_NORM_MAX_ORDER = 1024
 
 
 def _fail(msg: str, code: int) -> int:
@@ -115,7 +122,19 @@ def cmd_norm(args) -> int:
         op = BranchingOperator.uniform(args.q, args.n, f)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
+    if op.dim > MAX_NORM_VERTICES:
+        return _fail(
+            f"(q={args.q}, n={args.n}) has {op.dim} vertices, over the norm limit {MAX_NORM_VERTICES}",
+            EXIT_CAP_EXCEEDED,
+        )
     report = operator_norm(op, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    if args.n + 1 > EXACT_NORM_MAX_ORDER:
+        print(f"exact norm not computed: T_n has order {args.n + 1} > {EXACT_NORM_MAX_ORDER}", file=sys.stderr)
+    else:
+        # the operator norm is the largest block norm, ||T_n|| by interlacing
+        exact = float(np.linalg.norm(toeplitz_dense(f, args.n), 2))
+        err = abs(report.norm_estimate - exact) / exact if exact > 0 else report.norm_estimate
+        print(f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}", file=sys.stderr)
     if args.format == "csv":
         text = (
             "norm,method,iterations,residual\n"
@@ -185,7 +204,7 @@ def cmd_table(args) -> int:
     cells = []
     for q in range(1, args.q_max + 1):
         for n in range(1, args.n_max + 1):
-            bn = float(np.linalg.norm(BranchingOperator.uniform(q, n, f).materialize(), 2))
+            bn = float(singular_values(BranchingOperator.uniform(q, n, f))[0])
             tn = float(np.linalg.norm(toeplitz_dense(f, n), 2))
             cells.append((q, n, bn, tn, bn - tn))
     columns = ["q", "n", "branching_norm", "toeplitz_norm", "gap"]

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from btoep import dpp
+from btoep import cli, dpp
 from btoep.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT,
@@ -12,6 +13,8 @@ from btoep.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from btoep.operators import BranchingOperator, toeplitz_dense
+from btoep.spectral import operator_norm
 from btoep.symbols import Symbol
 
 CONST_ONE = '{"coeffs": [[0, 1, 0]]}'
@@ -82,6 +85,29 @@ class TestNorm:
         assert code == EXIT_OK
         assert out[0] == "norm,method,iterations,residual"
         assert out[1].split(",")[1] == "PowerIteration"
+
+    def test_reports_exact_norm_on_stderr(self, capsys):
+        args = ["norm", "--symbol", HERMITIAN, "--q", "3", "--n", "4", "--seed", "99"]
+        code = main(args)
+        captured = capsys.readouterr()
+        report = operator_norm(BranchingOperator.uniform(3, 4, Symbol.from_json(HERMITIAN)), seed=99)
+        exact = float(np.linalg.norm(toeplitz_dense(Symbol.from_json(HERMITIAN), 4), 2))
+        err = abs(report.norm_estimate - exact) / exact
+        assert code == EXIT_OK
+        assert captured.out == report.to_json() + "\n"
+        assert captured.err == f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}\n"
+
+    @pytest.mark.parametrize("q,n", [(2, 30), (8, 9)])
+    def test_too_many_vertices(self, q, n, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power iteration started")
+
+        monkeypatch.setattr(cli, "operator_norm", refuse)
+        code = main(["norm", "--symbol", CONST_ONE, "--q", str(q), "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP_EXCEEDED
+        assert captured.err.startswith("error:") and str(cli.MAX_NORM_VERTICES) in captured.err
+        assert captured.out == ""
 
 
 class TestVerify:
