@@ -9,12 +9,14 @@ are independent (their kernel blocks are diagonal).  sssp_diagnostics
 estimates exactly these signatures from Monte Carlo samples and compares
 them with the closed-form values.
 
-Sampling uses the spectral method: select eigenvectors by independent
-Bernoulli(lambda_i) draws, then sample the resulting projection process
-point by point, deflating the selected basis by Gram-Schmidt against each
-chosen coordinate.  The elimination pivot inside the deflation is the
-column with the largest amplitude at the chosen coordinate (ties fall to
-the lowest index), so a run is fully determined by its seed.
+Sampling uses the spectral method (Hough, Krishnapur, Peres & Virag 2006;
+Kulesza & Taskar 2012, Alg. 1): select eigenvectors by independent
+Bernoulli(lambda_i) draws, then sample the projection process with kernel
+W W^* point by point.  The next point i is drawn with probability
+proportional to |W[i]|^2, and conditioning on it is the rank-one
+projection W <- W - (W u) u^* with u = conj(W[i]) / |W[i]|.  A sample of
+k points on N vertices costs O(N k^2), and a run is fully determined by
+its seed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 EIG_CLAMP = 1e-8
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,8 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
     if SymbolClass.HERMITIAN not in classify(f):
         raise ValueError("DPP kernel requires a Hermitian symbol")
     op = BranchingOperator.uniform(q, n, f)
+    # classify demands h(-m) == conj(h(m)) exactly, so M == M^* bit for bit
     M = op.materialize()
-    defect = np.abs(M - M.conj().T).max()
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"kernel is not Hermitian: defect {defect}")
     eigvals, eigvecs = np.linalg.eigh(M)
     if eigvals.min() < -EIG_CLAMP or eigvals.max() > 1 + EIG_CLAMP:
         raise ValueError(
@@ -93,25 +92,17 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
 
 def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
     lam = kernel.eigenvalues
-    chosen = rng.random(lam.shape[0]) < lam
-    V = kernel.eigenvectors[:, chosen].copy()
+    W = kernel.eigenvectors[:, rng.random(lam.shape[0]) < lam].copy()
     points = []
-    while V.shape[1] > 0:
-        k = V.shape[1]
-        marginals = np.einsum("ij,ij->i", V, V.conj()).real
-        marginals = np.clip(marginals, 0.0, None)
-        probs = marginals / marginals.sum()
-        i = int(rng.choice(marginals.shape[0], p=probs))
+    for _ in range(W.shape[1]):
+        marginals = np.clip(np.einsum("ij,ij->i", W, W.conj()).real, 0.0, None)
+        i = int(rng.choice(marginals.shape[0], p=marginals / marginals.sum()))
         points.append(i)
-        if k == 1:
-            break
-        # Gram-Schmidt deflation against coordinate i: eliminate with the
-        # largest-amplitude column, then re-orthonormalize the rest
-        j = int(np.argmax(np.abs(V[i])))
-        col = V[:, j] / V[i, j]
-        V = V - np.outer(col, V[i])
-        V = np.delete(V, j, axis=1)
-        V, _ = np.linalg.qr(V)
+        # condition on i: project every row off conj(W[i]), which leaves
+        # W W^* the conditioned projection kernel; row i itself goes to 0
+        u = W[i].conj() / np.sqrt(marginals[i])
+        W -= np.outer(W @ u, u.conj())
+        W[i] = 0.0
     return sorted(points)
 
 
@@ -177,17 +168,20 @@ class SsspReport:
         return "\n".join(rows) + "\n"
 
 
-def _occupancy_matrix(samples, dim: int) -> np.ndarray:
-    X = np.zeros((len(samples), dim), dtype=bool)
+def _occupancy(samples, dim: int) -> np.ndarray:
+    """Boolean (dim, len(samples)) matrix: column t marks the points of draw t."""
+    X = np.zeros((dim, len(samples)), dtype=bool)
     for t, s in enumerate(samples):
-        X[t, list(s.occupied)] = True
+        X[list(s.occupied), t] = True
     return X
 
 
 def _mean_se(per_sample: np.ndarray):
-    m = float(per_sample.mean())
-    se = float(per_sample.std(ddof=1) / np.sqrt(per_sample.shape[0]))
-    return m, se
+    """Mean and standard error over the draws (the last axis), as floats or
+    as lists of floats, one per row."""
+    m = per_sample.mean(axis=-1)
+    se = per_sample.std(axis=-1, ddof=1) / np.sqrt(per_sample.shape[-1])
+    return m.tolist(), se.tolist()
 
 
 def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
@@ -195,55 +189,46 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
     if samples < 1000:
         raise ValueError("need at least 1000 samples for stable diagnostics")
     shape = kernel.shape
-    q, n = shape.q, shape.depth
-    starts = shape.generation_starts
+    q, n, N = shape.q, shape.depth, kernel.dim
+    starts = np.asarray(shape.generation_starts)
     draws = sample_many(kernel, samples, seed)
-    X = _occupancy_matrix(draws, kernel.dim).astype(float)
+    X = _occupancy(draws, N)
     f0 = kernel.symbol.coeff(0).real
 
     one_point = {}
     for g in range(n + 1):
-        block = X[:, starts[g] : starts[g + 1]]
-        one_point[g] = (f0, *_mean_se(block.mean(axis=1)))
+        one_point[g] = (f0, *_mean_se(X[starts[g] : starts[g + 1]].mean(axis=0)))
 
-    # comparable pairs at each distance: every vertex against its depth-d
-    # ancestor; incomparable pairs are everything else off the diagonal
-    ray_pair = {}
-    comp = np.eye(kernel.dim, dtype=bool)
-    gen_of = np.concatenate([np.full(q**g, g) for g in range(n + 1)])
-    offs = np.concatenate([np.arange(q**g) for g in range(n + 1)])
+    # comparable pairs at distance d: each vertex v of generation >= d with
+    # its depth-d ancestor, in row v - starts[d] of pair.  Row l of rays
+    # runs from the root to leaf l, so the pairs along that ray, which the
+    # ray-invariance check pools, are the rows rays[l, d:] - starts[d].
+    # Every other pair is incomparable.
+    gen_of = np.repeat(np.arange(n + 1), np.diff(starts))
+    offs = np.arange(N) - starts[gen_of]
+    rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
+    ray_pair, spread = {}, {}
+    comparable = np.zeros(samples, dtype=int)
+    incomparable_pairs = N * (N - 1) // 2
     for d in range(1, n + 1):
-        u = np.flatnonzero(gen_of >= d)
-        anc = np.asarray(starts)[gen_of[u] - d] + offs[u] // q**d
+        u = np.arange(starts[d], N)
+        anc = starts[gen_of[u] - d] + offs[u] // q**d
+        pair = X[u] & X[anc]
+        count = pair.sum(axis=0)
+        comparable += count
+        incomparable_pairs -= u.size
         analytic = f0**2 - q ** (-d) * abs(kernel.symbol.coeff(d)) ** 2
-        per_sample = (X[:, u] * X[:, anc]).mean(axis=1)
-        ray_pair[d] = (analytic, *_mean_se(per_sample))
-        comp[u, anc] = True
-        comp[anc, u] = True
-    iu, iv = np.where(np.triu(~comp))
-    per_sample = (X[:, iu] * X[:, iv]).mean(axis=1)
-    incomparable = (f0**2, *_mean_se(per_sample))
+        ray_pair[d] = (analytic, *_mean_se(count / u.size))
+        estimates, ses = _mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
+        spread[d] = (max(estimates) - min(estimates), 4 * max(ses))
 
-    # ray invariance: per-leaf ray, pool positions along the ray
-    spread = {}
-    leaves = np.arange(q**n)
-    for d in range(1, n + 1):
-        estimates = []
-        ses = []
-        for leaf in leaves:
-            chain = [starts[g] + (leaf // q ** (n - g)) for g in range(n + 1)]
-            lo = [chain[g] for g in range(0, n + 1 - d)]
-            hi = [chain[g + d] for g in range(0, n + 1 - d)]
-            per = (X[:, lo] * X[:, hi]).mean(axis=1)
-            m, se = _mean_se(per)
-            estimates.append(m)
-            ses.append(se)
-        estimates = np.array(estimates)
-        allow = 4 * max(ses)
-        spread[d] = (float(estimates.max() - estimates.min()), float(allow))
-
-    card = X.sum(axis=1)
-    cardinality = (kernel.expected_points, *_mean_se(card))
+    size = X.sum(axis=0)
+    if incomparable_pairs:
+        per_sample = (size * (size - 1) // 2 - comparable) / incomparable_pairs
+        incomparable = (f0**2, *_mean_se(per_sample))
+    else:  # q = 1 or n = 0: every pair of vertices is comparable
+        incomparable = (f0**2, float("nan"), float("nan"))
+    cardinality = (kernel.expected_points, *_mean_se(size))
 
     return SsspReport(
         samples=samples,

@@ -1,4 +1,4 @@
-"""The block-decomposition routes of btoep.spectral against the dense oracle.
+"""The structured routes of btoep against the dense oracle materialize().
 
 singular_values, certify_positive, block_norms and norming_vector solve
 only the Toeplitz blocks T_k.  Each is checked here against a dense solve
@@ -6,6 +6,9 @@ of materialize() on random (q, n, weights, symbol), q = 1, n = 0, the
 empty symbol and support radius above n included.  Coefficients are
 multiples of 1/8, so a non-Hermitian symbol is non-Hermitian by far more
 than the 1e-10 tolerance, and both checks must reach the same decision.
+The matrix-free apply, apply_adjoint and entry are checked against the
+same matrix, and the uniform matrix of a Hermitian symbol is exactly
+self-adjoint, which btoep.dpp.build_kernel relies on.
 """
 
 import numpy as np
@@ -21,8 +24,8 @@ from btoep.spectral import (
     radial_blocks,
     singular_values,
 )
-from btoep.symbols import Symbol
-from btoep.tree import TreeShape
+from btoep.symbols import Symbol, SymbolClass, classify
+from btoep.tree import TreeShape, vertex_from_index
 from btoep.verify import random_unit_weights
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -94,3 +97,41 @@ def test_norming_vector_attains_dense_norm(op):
     assert abs(achieved - np.linalg.norm(M, 2)) <= 1e-10
     if op.uniform:
         assert is_radial
+
+
+def _unit_vectors(seed: int, dim: int, count: int):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return xs / np.linalg.norm(xs, axis=1, keepdims=True)
+
+
+@ORACLE
+@given(operators(hermitian=True, uniform=True))
+def test_hermitian_uniform_matrix_is_exactly_self_adjoint(op):
+    assert SymbolClass.HERMITIAN in classify(op.symbol)
+    M = op.materialize()
+    assert np.array_equal(M, M.conj().T)
+
+
+@ORACLE
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_apply_matches_dense(op, seed):
+    (x,) = _unit_vectors(seed, op.dim, 1)
+    assert np.abs(op.apply(x) - op.materialize() @ x).max() <= 1e-12
+
+
+@ORACLE
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_entry_matches_dense(op, seed):
+    M = op.materialize()
+    pairs = np.random.default_rng(seed).integers(0, op.dim, size=(min(64, op.dim**2), 2))
+    for i, j in pairs:
+        u, v = vertex_from_index(int(i), op.shape), vertex_from_index(int(j), op.shape)
+        assert abs(op.entry(u, v) - M[i, j]) <= 1e-12
+
+
+@ORACLE
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_apply_adjoint_is_the_adjoint(op, seed):
+    x, y = _unit_vectors(seed, op.dim, 2)
+    assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.apply_adjoint(y), x)) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ class TestDpp:
         kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
         expected = dpp.sssp_diagnostics(kernel, 1000, 11).to_csv()
         assert (tmp_path / "run.diagnostics.csv").read_text() == expected
+
+    @pytest.mark.parametrize("q, n", [(1, 5), (2, 0)])
+    def test_no_incomparable_pairs_without_warnings(self, q, n, tmp_path, capsys):
+        # a path or a lone root has no incomparable pairs: the row reads nan
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["dpp", "--symbol", RAISED_COS, "--q", str(q), "--n", str(n),
+                         "--samples", "1000", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "run.diagnostics.csv").read_text().split("\n")
+        assert "incomparable_pair,0.25,nan,nan" in rows
 
     def test_cap_exceeded(self, tmp_path, capsys):
         code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "13",

@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from btoep import dpp
 from btoep.dpp import build_kernel, sample, sample_many, samples_to_jsonl, sssp_diagnostics
 from btoep.symbols import Symbol
-from btoep.tree import Relation, comparability, vertex_from_index
+from btoep.tree import Relation, ancestor, comparability, linear_index, vertex_from_index
 
 RAISED_COS = Symbol({-1: 0.25, 0: 0.5, 1: 0.25})  # (1 + cos theta) / 2
+# 1/2 + 2 Re((0.2 + 0.1i) e^{i theta}) stays in [0.05, 0.95]; complex
+# eigenvectors make a missing conjugate in the sampler show
+COMPLEX_HERM = Symbol({-1: 0.2 - 0.1j, 0: 0.5, 1: 0.2 + 0.1j})
 
 
 class TestBuildKernel:
@@ -88,6 +94,50 @@ class TestSample:
             assert data == {"seed": s.rng_seed, "occupied": list(s.occupied)}
 
 
+class _ScriptedRng:
+    """Stands in for the generator: selects every eigenvector with
+    eigenvalue above 0, draws the points in a given order and multiplies up
+    the probability the sampler gave each of them."""
+
+    def __init__(self, order):
+        self.order = iter(order)
+        self.prob = 1.0
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def choice(self, n, p):
+        i = next(self.order)
+        self.prob *= p[i]
+        return i
+
+
+class TestExactLaw:
+    """Summed over the orders of its points, the probability of a set S
+    under the sampler is the projection DPP law |det V_S|^2, where V holds
+    the selected eigenvectors."""
+
+    @pytest.mark.parametrize(
+        "q, n, cols",
+        [(2, 2, [0]), (2, 2, [6]), (2, 2, [1, 4]), (2, 2, [0, 3, 6]), (3, 1, [0, 2]), (1, 4, [1, 2, 4]),
+         (2, 3, [14]), (2, 3, [2, 9]), (2, 3, [0, 7, 13]), (2, 3, [5, 6, 12])],
+    )
+    def test_set_probabilities(self, q, n, cols):
+        kernel = build_kernel(COMPLEX_HERM, q, n)
+        lam = np.zeros(kernel.dim)
+        lam[cols] = 1.0
+        projection = dataclasses.replace(kernel, eigenvalues=lam)
+        law = defaultdict(float)
+        for order in itertools.permutations(range(kernel.dim), len(cols)):
+            rng = _ScriptedRng(order)
+            assert dpp._sample_with_rng(projection, rng) == sorted(order)
+            law[tuple(sorted(order))] += rng.prob
+        V = kernel.eigenvectors[:, cols]
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+        for S in itertools.combinations(range(kernel.dim), len(cols)):
+            assert abs(law[S] - abs(np.linalg.det(V[list(S)])) ** 2) <= 1e-12
+
+
 @pytest.fixture(scope="module")
 def raised_cos_report():
     k = build_kernel(RAISED_COS, 2, 4)
@@ -141,6 +191,48 @@ class TestDiagnostics:
         assert "comparable_pair_d1" in names
         assert "incomparable_pair" in names
         assert "cardinality_mean" in names
+
+
+class TestDiagnosticsOracle:
+    """The pair statistics of a report, recomputed from its own draws by
+    enumerating vertex pairs and leaf rays with the tree module."""
+
+    @pytest.mark.parametrize("q, n, f", [(2, 3, RAISED_COS), (3, 2, COMPLEX_HERM)])
+    def test_pair_statistics(self, q, n, f):
+        kernel = build_kernel(f, q, n)
+        report = sssp_diagnostics(kernel, samples=1000, seed=17)
+        shape, N = kernel.shape, kernel.dim
+        X = np.zeros((len(report.draws), N))
+        for t, s in enumerate(report.draws):
+            X[t, list(s.occupied)] = 1.0
+
+        def mean_se(pairs):
+            i, j = np.array(pairs).T
+            per = (X[:, i] * X[:, j]).mean(axis=1)
+            return per.mean(), per.std(ddof=1) / np.sqrt(per.size)
+
+        vs = [vertex_from_index(i, shape) for i in range(N)]
+        comparable, incomparable = defaultdict(list), []
+        for i, j in itertools.combinations(range(N), 2):
+            rel = comparability(vs[i], vs[j], shape)
+            if rel.relation is Relation.INCOMPARABLE:
+                incomparable.append((i, j))
+            else:
+                comparable[rel.distance].append((i, j))
+        assert sorted(report.ray_pair_corr) == sorted(comparable) == list(range(1, n + 1))
+        for d, pairs in comparable.items():
+            assert np.abs(np.subtract(report.ray_pair_corr[d][1:], mean_se(pairs))).max() <= 1e-15
+        assert np.abs(np.subtract(report.incomparable_pair_corr[1:], mean_se(incomparable))).max() <= 1e-15
+
+        leaves = [v for v in vs if v.generation == n]
+        for d, (spread, allowance) in report.across_ray_spread.items():
+            per_ray = []
+            for leaf in leaves:
+                ray = [linear_index(ancestor(leaf, n - g, q), shape) for g in range(n + 1)]
+                per_ray.append(mean_se([(ray[g], ray[g + d]) for g in range(n + 1 - d)]))
+            means, ses = np.array(per_ray).T
+            assert abs(spread - (means.max() - means.min())) <= 1e-15
+            assert abs(allowance - 4 * ses.max()) <= 1e-15
 
 
 class TestExactFactorization:
