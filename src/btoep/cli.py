@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_norm(args) -> int:
     try:
         f = _load_symbol(args)
-        if args.q < 1 or args.n < 0 or args.tol <= 0 or args.max_iter < 1:
+        if args.q < 1 or args.n < 0 or not 0 < args.tol < np.inf or args.max_iter < 1:
             raise ValueError("invalid numeric parameters")
         op = BranchingOperator.uniform(args.q, args.n, f)
     except ValueError as exc:

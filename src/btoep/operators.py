@@ -14,12 +14,13 @@ The operator-valued functions run at d = A.dim.
 One private engine, _Kernel, produces every entry, product and dense
 matrix for both weight kinds.  apply() never materializes the matrix.
 Descendant contributions come from a bottom-up recursion of weighted
-child sums (one pass per coefficient h(-m)), ancestor contributions from
-a top-down recursion of weighted parent values (one pass per h(m)); with
-the generation-major vertex layout both passes are single reshape/repeat
-products, O(n * |B_n| * q * d^2) work in total.  Dense materialization is a
-test oracle guarded by a size cap (default 4096 rows, override with the
-BTOEP_DENSE_CAP environment variable); going over it raises
+child sums, ancestor contributions from a Horner recursion over the
+parents, S_i(v) = h(i) x[v] + A_j S_{i+1}(parent(v)) for v the j-th child.
+Both depth-m terms live on the generations <= n - m, about |B_n| / q^m
+rows, so for q >= 2 an apply makes about three passes over the vector,
+O(|B_n| * q * d^2) work whatever the support radius.  Dense
+materialization is a test oracle guarded by a size cap (default 4096 rows,
+override with the BTOEP_DENSE_CAP environment variable) that raises
 DenseCapError.
 """
 
@@ -98,8 +99,8 @@ class WeightVector:
 class _Kernel:
     """The kernel of a symbol and a (q, d, d) weight stack on a truncated tree.
 
-    uniform marks the scalar weight 1/sqrt(q), whose path products entry()
-    and materialize() take as the exact q^(-m/2).
+    uniform marks the scalar weight 1/sqrt(q), whose path products entry(),
+    apply() and materialize() take as the exact q^(-m/2).
     """
 
     def __init__(self, weights: np.ndarray, shape: TreeShape, symbol: Symbol, uniform: bool = False):
@@ -143,10 +144,23 @@ class _Kernel:
         radius = min(n, self.symbol.support_radius)
         # row j*d + a, column b holds conj(A_j[a, b]), so D @ down sums A_j^* D_j
         down = self.weights.conj().reshape(q * d, d)
-        # up[b] holds A_j[e, b] at j*d + e
+        # row b, column j*d + a holds A_j[a, b], so S @ up lists A_j S per child j
         up = self.weights.transpose(2, 0, 1).reshape(d, q * d)
 
-        y = coeff(0) * x
+        # ancestor side by Horner over the parents, r the largest m <= radius
+        # with h(m) != 0: S_r = h(r) x, S_i(v) = h(i) x[v] + A_j S_{i+1}(p) for
+        # v child j of p on the generations <= n - i, and y starts as S_0.
+        # Uniform weights fold q^(-i/2) into S_i: each A_j step is a broadcast.
+        def level(i):
+            c = coeff(i) * (q ** (-i / 2) if self.uniform else 1.0)
+            return c * x[: starts[n - i + 1]]
+
+        r = max((m for m in range(1, radius + 1) if coeff(m) != 0), default=0)
+        y = level(r)
+        for i in range(r - 1, -1, -1):
+            S, y = y, level(i)
+            children = y[1:].reshape(-1, q, d)
+            children += S[:, None, :] if self.uniform else (S @ up).reshape(-1, q, d)
 
         # descendant sums: D holds, per surviving vertex, the adjoint
         # path-weighted sum of x over its depth-m descendants
@@ -156,20 +170,6 @@ class _Kernel:
             c = coeff(-m)
             if c != 0:
                 y[: D.shape[0]] += c * D
-
-        # ancestor walk: U holds, per vertex of generation >= m, the path
-        # product times the value of x at its depth-m ancestor; child j of
-        # each parent gets A_j times the parent's value
-        U = x
-        for m in range(1, radius + 1):
-            parents = U[: starts[n] - starts[m - 1]]
-            U = np.repeat(parents[:, 0], q * d) * np.tile(up[0], parents.shape[0])
-            for b in range(1, d):
-                U = U + np.repeat(parents[:, b], q * d) * np.tile(up[b], parents.shape[0])
-            U = U.reshape(-1, d)
-            c = coeff(m)
-            if c != 0:
-                y[starts[m] :] += c * U
 
         return y.reshape(-1)
 

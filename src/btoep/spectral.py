@@ -96,35 +96,34 @@ def operator_norm(
 
     Converged when the relative eigenvalue change stays below tol for three
     consecutive iterations; on non-convergence the report carries
-    converged=False and the best estimate so far.
+    converged=False and the best estimate so far.  Either way the residual
+    is ||z - lam x|| / lam of the last iterate x, with z its image.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     rng = np.random.default_rng(seed)
     n = op.dim
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
+    adjoint = op.adjoint()
     lam = 0.0
-    residual = np.inf
     streak = 0
     for it in range(1, max_iter + 1):
-        z = op.apply_adjoint(op.apply(x))
+        z = adjoint.apply(op.apply(x))
         new_lam = float(np.real(np.vdot(x, z)))
         znorm = np.linalg.norm(z)
         if znorm == 0.0:
             return SpectralReport(0.0, it, 0.0, NormMethod.POWER_ITERATION, True)
-        residual = float(np.linalg.norm(z - new_lam * x) / max(new_lam, np.finfo(float).tiny))
         change = abs(new_lam - lam) / max(abs(new_lam), np.finfo(float).tiny)
         lam = new_lam
-        x = z / znorm
         streak = streak + 1 if change < tol else 0
-        if streak >= 3:
+        if streak >= 3 or it == max_iter:
+            residual = float(np.linalg.norm(z - lam * x) / max(lam, np.finfo(float).tiny))
             return SpectralReport(
-                float(np.sqrt(max(lam, 0.0))), it, residual, NormMethod.POWER_ITERATION, True
+                float(np.sqrt(max(lam, 0.0))), it, residual, NormMethod.POWER_ITERATION, streak >= 3
             )
-    return SpectralReport(
-        float(np.sqrt(max(lam, 0.0))), max_iter, residual, NormMethod.POWER_ITERATION, False
-    )
+        x = z * (1.0 / znorm)  # the bits of z / znorm, which numpy scales by this reciprocal
+    return SpectralReport(0.0, max_iter, np.inf, NormMethod.POWER_ITERATION, False)
 
 
 def operator_norm_dense(op: BranchingOperator) -> SpectralReport:

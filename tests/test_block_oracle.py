@@ -8,7 +8,10 @@ multiples of 1/8, so a non-Hermitian symbol is non-Hermitian by far more
 than the 1e-10 tolerance, and both checks must reach the same decision.
 The matrix-free apply, apply_adjoint and entry are checked against the
 same matrix, and the uniform matrix of a Hermitian symbol is exactly
-self-adjoint, which btoep.dpp.build_kernel relies on.
+self-adjoint, which btoep.dpp.build_kernel relies on.  The engine's apply
+at d = 2 and 3 is checked against op_valued_materialize on random
+non-commuting tuples, with symbols that skip a coefficient next to the
+diagonal.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btoep.operators import BranchingOperator
+from btoep.operators import BranchingOperator, OperatorTuple, _Kernel, op_valued_materialize
 from btoep.spectral import (
     block_norms,
     certify_positive,
@@ -49,6 +52,24 @@ def operators(draw, hermitian=False, uniform=None):
         return BranchingOperator.uniform(q, n, f)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return BranchingOperator.with_weights(random_unit_weights(rng, q), n, f)
+
+
+@st.composite
+def tuple_kernels(draw):
+    """A random (q, d, d) tuple with d > 1, a tree and a symbol of radius
+    0..n+1; some symbols have h(±1) = 0 under a nonzero h(±2)."""
+    d = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 4))
+    radius = draw(st.integers(0, n + 1))
+    coeffs = draw(st.dictionaries(st.integers(-radius, radius), COEFF))
+    if radius >= 2 and draw(st.booleans()):
+        side = draw(st.sampled_from([1, -1]))
+        coeffs[side] = 0
+        coeffs[2 * side] = draw(COEFF.filter(lambda c: c != 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = (rng.standard_normal((q, d, d)) + 1j * rng.standard_normal((q, d, d))) / np.sqrt(2 * q * d)
+    return OperatorTuple(A), Symbol(coeffs), TreeShape(q, n)
 
 
 @ORACLE
@@ -135,3 +156,12 @@ def test_entry_matches_dense(op, seed):
 def test_apply_adjoint_is_the_adjoint(op, seed):
     x, y = _unit_vectors(seed, op.dim, 2)
     assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.apply_adjoint(y), x)) <= 1e-12
+
+
+@ORACLE
+@given(tuple_kernels(), st.integers(0, 2**32 - 1))
+def test_engine_apply_matches_dense_above_d_one(kernel, seed):
+    A, f, shape = kernel
+    M = op_valued_materialize(A, f, shape)
+    (x,) = _unit_vectors(seed, M.shape[0], 1)
+    assert np.abs(_Kernel(A.matrices, shape, f).apply(x) - M @ x).max() <= 1e-12

@@ -48,6 +48,18 @@ class TestNorm:
         capsys.readouterr()
         assert code == EXIT_NO_CONVERGENCE
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power iteration started")
+
+        monkeypatch.setattr(cli, "operator_norm", refuse)
+        code = main(["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "3", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_malformed_symbol(self, capsys):
         code = main(["norm", "--symbol", "{bad json", "--q", "2", "--n", "3"])
         assert code == EXIT_INPUT

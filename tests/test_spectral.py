@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from btoep import operators
 from btoep.operators import BranchingOperator, gauge_transform, toeplitz_dense
 from btoep.spectral import (
     NormMethod,
@@ -69,6 +70,12 @@ class TestOperatorNorm:
         assert not report.converged
         assert report.iterations == 2
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        op = BranchingOperator.uniform(2, 3, Symbol({0: 1}))
+        with pytest.raises(ValueError, match="finite and positive"):
+            operator_norm(op, tol=tol)
+
     def test_report_json_keys(self):
         op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
         data = json.loads(operator_norm(op).to_json())
@@ -77,6 +84,48 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         report = operator_norm(BranchingOperator.uniform(2, 2, Symbol({})))
         assert report.norm_estimate == 0.0 and report.converged
+
+
+def power_reference(M, tol, max_iter, seed):
+    """operator_norm's power loop on the dense matrix M, with the residual
+    ||z - lam x|| / lam taken on every step: (norm, iterations, residual,
+    converged)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    x /= np.linalg.norm(x)
+    G = M.conj().T @ M
+    lam, streak = 0.0, 0
+    for it in range(1, max_iter + 1):
+        z = G @ x
+        new_lam = np.vdot(x, z).real
+        residual = np.linalg.norm(z - new_lam * x) / new_lam
+        streak = streak + 1 if abs(new_lam - lam) < tol * abs(new_lam) else 0
+        lam = new_lam
+        if streak >= 3:
+            break
+        x = z / np.linalg.norm(z)
+    return np.sqrt(lam), it, residual, streak >= 3
+
+
+class TestPowerLoop:
+    """operator_norm takes the residual only on the step it returns from,
+    on both exits, and calls apply twice per step: pinned against a dense
+    loop that takes it on every step."""
+
+    OP = BranchingOperator.uniform(2, 3, Symbol({-1: 0.3 + 0.1j, 0: 0.5, 1: 0.25, 2: 0.1j}))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 7, 10000])
+    def test_reports_residual_of_last_iterate(self, max_iter, monkeypatch):
+        calls = []
+        apply = operators._Kernel.apply
+        monkeypatch.setattr(operators._Kernel, "apply", lambda self, x: calls.append(1) or apply(self, x))
+        report = operator_norm(self.OP, max_iter=max_iter, seed=5)
+        norm, iterations, residual, converged = power_reference(self.OP.materialize(), 1e-10, max_iter, 5)
+        assert report.converged == converged == (max_iter == 10000)
+        assert report.iterations == iterations
+        assert abs(report.residual - residual) <= 1e-12
+        assert abs(report.norm_estimate - norm) <= 1e-12
+        assert len(calls) == 2 * report.iterations
 
 
 class TestRadialCompression:
