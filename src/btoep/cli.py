@@ -6,10 +6,12 @@ Subcommands:
   dpp     sample the induced determinantal point process + diagnostics
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep
 
-Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP
-included), 2 norm non-convergence, 3 verification failure, 4 kernel
-rejection, 5 size limit exceeded: the dense cap in any subcommand that
-builds a dense matrix, or the MAX_NORM_VERTICES limit of norm.
+Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
+a negative --seed, an unreadable --symbol-file and an --out that cannot
+be written included), 2 norm non-convergence, 3 verification failure,
+4 kernel rejection, 5 size limit exceeded: the dense cap in any
+subcommand that builds a dense matrix, or the MAX_NORM_VERTICES limit of
+norm.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,7 +60,11 @@ def _load_symbol(args) -> Symbol:
     if getattr(args, "symbol", None):
         return Symbol.from_json(args.symbol)
     if getattr(args, "symbol_file", None):
-        return Symbol.from_json(Path(args.symbol_file).read_text())
+        try:
+            text = Path(args.symbol_file).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read --symbol-file: {exc}") from exc
+        return Symbol.from_json(text)
     raise ValueError("a symbol is required (--symbol or --symbol-file)")
 
 
@@ -227,16 +234,25 @@ def main(argv=None) -> int:
         "dpp": cmd_dpp,
         "table": cmd_table,
     }[args.command]
-    if handler is not cmd_norm:
-        # every other subcommand builds dense matrices under the cap
-        try:
+    try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be >= 0")
+        # dpp's --out is a prefix, so check the directory of the string as given
+        out_dir = os.path.dirname(args.out or "") or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"--out directory {out_dir!r} does not exist")
+        if handler is not cmd_norm:
+            # every other subcommand builds dense matrices under the cap
             dense_cap()
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INPUT)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
     try:
         return handler(args)
     except DenseCapError as exc:
         return _fail(str(exc), EXIT_CAP_EXCEEDED)
+    except OSError as exc:
+        # an --out that cannot be written even though its directory exists
+        return _fail(str(exc), EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -100,8 +100,8 @@ class Symbol:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid symbol JSON: {exc}") from exc
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise ValueError('symbol JSON must be an object with a "coeffs" key')
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise ValueError('symbol JSON must be an object with a "coeffs" list')
         coeffs = {}
         for row in data["coeffs"]:
             if not isinstance(row, (list, tuple)) or len(row) != 3:
@@ -111,7 +111,10 @@ class Symbol:
                 raise ValueError(f"frequency index must be an integer, got {k!r}")
             if k in coeffs:
                 raise ValueError(f"duplicate frequency index {k}")
-            coeffs[k] = complex(float(re), float(im))
+            try:
+                coeffs[k] = complex(float(re), float(im))
+            except TypeError as exc:
+                raise ValueError(f"coefficient parts must be numbers, got {row!r}") from exc
         return cls(coeffs)
 
 

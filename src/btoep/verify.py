@@ -1,15 +1,22 @@
 """Randomized verification suites for the structural identities.
 
 Each suite draws seeded random symbols, measures the residual of one
-identity over a (q, n) sweep, and reports pass/fail against the fixed
-tolerance for that identity.  The CLI runs them all and maps any failure
-to a nonzero exit; fuzz=True injects a small perturbation into a measured
-matrix as a negative control, proving the harness can fail.
+identity over a fixed (q, n) sweep, and reports pass/fail against the
+fixed tolerance for that identity.  The CLI runs them all and maps any
+failure to a nonzero exit; fuzz=True injects a small perturbation into a
+measured matrix as a negative control, proving the harness can fail.
+
+Every suite sweeps q over (2, 3) and n over a fixed range: radial
+compression n = 1..6, block decomposition and positivity 1..5, case
+equalities 2..5, isometry and weighted equivalence 1..4, and
+multiplicativity n = 5 alone; cn_sandwich draws n from 1..4 and takes the
+sup over q = 2..q_max (default 8, run_all passes 5).  Only seed, trials,
+fuzz, case and q_max are settable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_QS = (2, 3)
-DEFAULT_N_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -44,13 +50,7 @@ class SuiteResult:
     detail: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def random_symbol(rng: np.random.Generator, radius: int, case: str | None = None) -> Symbol:
@@ -87,80 +87,64 @@ def _maybe_fuzz(M: np.ndarray, fuzz: bool) -> np.ndarray:
     return M
 
 
-def run_radial_compression(
-    seed=0, trials=20, qs=DEFAULT_QS, n_max=6, fuzz=False
-) -> SuiteResult:
+def _cases(rng: np.random.Generator, trials: int, ns, case: str | None = None):
+    """Yield (q, n, f, uniform operator) for each trial, q in DEFAULT_QS and n in ns.
+
+    Lazy: f (support radius 1..n) is drawn as its case is reached, so a suite
+    may draw from rng between cases."""
+    for _ in range(trials):
+        for q in DEFAULT_QS:
+            for n in ns:
+                f = random_symbol(rng, rng.integers(1, n + 1), case)
+                yield q, n, f, BranchingOperator.uniform(q, n, f)
+
+
+def run_radial_compression(seed=0, trials=20, fuzz=False) -> SuiteResult:
     """Radial compression reproduces the Toeplitz matrix entry for entry."""
-    rng = np.random.default_rng(seed)
     tol = 1e-12
     worst = 0.0
-    for _ in range(trials):
-        for q in qs:
-            for n in range(1, n_max + 1):
-                f = random_symbol(rng, rng.integers(1, n + 1))
-                op = BranchingOperator.uniform(q, n, f)
-                C = _maybe_fuzz(radial_compress(op), fuzz)
-                worst = max(worst, float(np.abs(C - toeplitz_dense(f, n)).max()))
+    for _, n, f, op in _cases(np.random.default_rng(seed), trials, range(1, 7)):
+        C = _maybe_fuzz(radial_compress(op), fuzz)
+        worst = max(worst, float(np.abs(C - toeplitz_dense(f, n)).max()))
     return SuiteResult("radial_compression", worst <= tol, worst, tol)
 
 
-def run_block_decomposition(
-    seed=1, trials=20, qs=DEFAULT_QS, n_max=6, fuzz=False
-) -> SuiteResult:
+def run_block_decomposition(seed=1, trials=20, fuzz=False) -> SuiteResult:
     """Cross blocks vanish and the norm is the larger of the two block norms."""
-    rng = np.random.default_rng(seed)
     cross_tol, norm_tol = 1e-12, 1e-9
-    worst_cross = 0.0
-    worst_norm = 0.0
-    for _ in range(trials):
-        for q in qs:
-            for n in range(1, n_max + 1):
-                f = random_symbol(rng, rng.integers(1, n + 1))
-                op = BranchingOperator.uniform(q, n, f)
-                M = _maybe_fuzz(op.materialize(), fuzz)
-                cross, b = radial_blocks(M, op.shape)
-                worst_cross = max(worst_cross, cross)
-                worst_norm = max(worst_norm, abs(b.total - max(b.radial, b.complement)))
+    worst_cross = worst_norm = 0.0
+    for _, _, _, op in _cases(np.random.default_rng(seed), trials, range(1, 6)):
+        cross, b = radial_blocks(_maybe_fuzz(op.materialize(), fuzz), op.shape)
+        worst_cross = max(worst_cross, cross)
+        worst_norm = max(worst_norm, abs(b.total - max(b.radial, b.complement)))
     passed = worst_cross <= cross_tol and worst_norm <= norm_tol
-    return SuiteResult(
-        "block_decomposition",
-        passed,
-        max(worst_cross, worst_norm),
-        norm_tol,
-        f"cross={worst_cross:.3e} norm_gap={worst_norm:.3e}",
-    )
+    detail = f"cross={worst_cross:.3e} norm_gap={worst_norm:.3e}"
+    return SuiteResult("block_decomposition", passed, max(worst_cross, worst_norm), norm_tol, detail)
 
 
-def run_case_equalities(
-    case="A2", seed=2, trials=50, qs=DEFAULT_QS, ns=(2, 3, 4, 5), fuzz=False
-) -> SuiteResult:
+def run_case_equalities(case="A2", seed=2, trials=50, fuzz=False) -> SuiteResult:
     """Branching norm equals Toeplitz norm for class A1/A2/A3 symbols."""
-    rng = np.random.default_rng(seed)
     tol = 1e-8
     worst = 0.0
-    for _ in range(trials):
-        for q in qs:
-            for n in ns:
-                f = random_symbol(rng, rng.integers(1, n + 1), case)
-                op = BranchingOperator.uniform(q, n, f)
-                M = _maybe_fuzz(op.materialize(), fuzz)
-                bn = np.linalg.norm(M, 2)
-                tn = np.linalg.norm(toeplitz_dense(f, n), 2)
-                worst = max(worst, float(abs(bn - tn) / (1 + tn)))
+    for _, n, f, op in _cases(np.random.default_rng(seed), trials, range(2, 6), case):
+        bn = np.linalg.norm(_maybe_fuzz(op.materialize(), fuzz), 2)
+        tn = np.linalg.norm(toeplitz_dense(f, n), 2)
+        worst = max(worst, float(abs(bn - tn) / (1 + tn)))
     return SuiteResult(f"case_{case}_norm_equality", worst <= tol, worst, tol)
 
 
-def run_multiplicativity(seed=3, trials=20, qs=DEFAULT_QS, n=6, fuzz=False) -> SuiteResult:
+def run_multiplicativity(seed=3, trials=20, fuzz=False) -> SuiteResult:
     """Products against analytic symbols multiply exactly on interior columns."""
     rng = np.random.default_rng(seed)
     tol = 1e-10
+    n = 5
     worst = 0.0
     for _ in range(trials):
         deg_q = int(rng.integers(1, 4))
         deg_p = int(rng.integers(0, 4 - deg_q))
         P_sym = random_symbol(rng, deg_p)
         Q_sym = random_symbol(rng, deg_q, "A3")
-        for q in qs:
+        for q in DEFAULT_QS:
             op_p = BranchingOperator.uniform(q, n, P_sym)
             op_q = BranchingOperator.uniform(q, n, Q_sym)
             op_pq = BranchingOperator.uniform(q, n, poly_product(P_sym, Q_sym))
@@ -172,13 +156,13 @@ def run_multiplicativity(seed=3, trials=20, qs=DEFAULT_QS, n=6, fuzz=False) -> S
     return SuiteResult("interior_multiplicativity", worst <= tol, worst, tol)
 
 
-def run_isometry(seed=None, qs=(2, 3, 5), n_max=5, fuzz=False) -> SuiteResult:
+def run_isometry(fuzz=False) -> SuiteResult:
     """The unit down-shift symbol gives an isometry off the last generation."""
     tol = 1e-14
     worst = 0.0
     shift = Symbol({1: 1})
-    for q in qs:
-        for n in range(1, n_max + 1):
+    for q in DEFAULT_QS:
+        for n in range(1, 5):
             op = BranchingOperator.uniform(q, n, shift)
             G = _maybe_fuzz(op.materialize(), fuzz)
             gram = G.conj().T @ G
@@ -189,13 +173,13 @@ def run_isometry(seed=None, qs=(2, 3, 5), n_max=5, fuzz=False) -> SuiteResult:
     return SuiteResult("truncated_isometry", worst <= tol, worst, tol)
 
 
-def run_positivity(qs=DEFAULT_QS, n_max=6, fuzz=False) -> SuiteResult:
+def run_positivity(fuzz=False) -> SuiteResult:
     """Fejer-window symbols stay PSD; the sign-changing 2cos fails at n=1."""
     tol = 1e-9
     worst = 0.0
     ok = True
-    for q in qs:
-        for n in range(1, n_max + 1):
+    for q in DEFAULT_QS:
+        for n in range(1, 6):
             for N in (1, 2, 4, n):
                 f = fejer_kernel(N)
                 op = BranchingOperator.uniform(q, n, f)
@@ -209,31 +193,26 @@ def run_positivity(qs=DEFAULT_QS, n_max=6, fuzz=False) -> SuiteResult:
     return SuiteResult("fejer_positivity", ok, abs(worst), tol)
 
 
-def run_weighted_equivalence(seed=4, trials=10, qs=DEFAULT_QS, n_max=4, fuzz=False) -> SuiteResult:
+def run_weighted_equivalence(seed=4, trials=10, fuzz=False) -> SuiteResult:
     """Singular values do not depend on the weight vector."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
-    for _ in range(trials):
-        for q in qs:
-            for n in range(1, n_max + 1):
-                f = random_symbol(rng, rng.integers(1, n + 1))
-                a = random_unit_weights(rng, q)
-                s_uniform = singular_values(BranchingOperator.uniform(q, n, f))
-                weighted = BranchingOperator.with_weights(a, n, f)
-                M = _maybe_fuzz(weighted.materialize(), fuzz)
-                s_weighted = np.linalg.svd(M, compute_uv=False)
-                worst = max(worst, float(np.abs(np.sort(s_uniform) - np.sort(s_weighted)).max()))
+    for q, n, f, op in _cases(rng, trials, range(1, 5)):
+        s_uniform = singular_values(op)
+        weighted = BranchingOperator.with_weights(random_unit_weights(rng, q), n, f)
+        s_weighted = np.linalg.svd(_maybe_fuzz(weighted.materialize(), fuzz), compute_uv=False)
+        worst = max(worst, float(np.abs(np.sort(s_uniform) - np.sort(s_weighted)).max()))
     return SuiteResult("weighted_equivalence", worst <= tol, worst, tol)
 
 
-def run_cn_sandwich(seed=5, trials=20, n_max=4, q_max=8, fuzz=False) -> SuiteResult:
+def run_cn_sandwich(seed=5, trials=20, q_max=8, fuzz=False) -> SuiteResult:
     """Toeplitz norm <= sup_q branching norm <= 3 x Toeplitz norm."""
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(1, 5))
         f = random_symbol(rng, rng.integers(1, n + 1))
         t_norm = float(np.linalg.norm(_maybe_fuzz(toeplitz_dense(f, n), fuzz), 2))
         sup = sup_branching_norm(f, n, q_max)
@@ -244,17 +223,14 @@ def run_cn_sandwich(seed=5, trials=20, n_max=4, q_max=8, fuzz=False) -> SuiteRes
 
 def run_all(seed=0, trials=20, fuzz=False):
     """Every suite at CLI-default sweeps."""
-    results = [
+    return [
         run_radial_compression(seed=seed, trials=trials, fuzz=fuzz),
-        run_block_decomposition(seed=seed + 1, trials=trials, n_max=5, fuzz=fuzz),
+        run_block_decomposition(seed=seed + 1, trials=trials, fuzz=fuzz),
+        *(run_case_equalities(case, seed=seed + 2, trials=max(10, trials // 2), fuzz=fuzz)
+          for case in ("A1", "A2", "A3")),
+        run_multiplicativity(seed=seed + 3, trials=trials, fuzz=fuzz),
+        run_isometry(fuzz=fuzz),
+        run_positivity(fuzz=fuzz),
+        run_weighted_equivalence(seed=seed + 4, trials=max(5, trials // 4), fuzz=fuzz),
+        run_cn_sandwich(seed=seed + 5, trials=max(5, trials // 4), q_max=5, fuzz=fuzz),
     ]
-    for case in ("A1", "A2", "A3"):
-        results.append(
-            run_case_equalities(case, seed=seed + 2, trials=max(10, trials // 2), fuzz=fuzz)
-        )
-    results.append(run_multiplicativity(seed=seed + 3, trials=trials, n=5, fuzz=fuzz))
-    results.append(run_isometry(qs=(2, 3), n_max=4, fuzz=fuzz))
-    results.append(run_positivity(n_max=5, fuzz=fuzz))
-    results.append(run_weighted_equivalence(seed=seed + 4, trials=max(5, trials // 4), fuzz=fuzz))
-    results.append(run_cn_sandwich(seed=seed + 5, trials=max(5, trials // 4), q_max=5, fuzz=fuzz))
-    return results

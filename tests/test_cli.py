@@ -140,7 +140,9 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().split("\n")
         records = [json.loads(l) for l in lines]
         assert code == EXIT_VERIFY_FAILED
-        assert not all(r["passed"] for r in records)
+        # every suite fails but fejer_positivity: eigvalsh never reads the perturbed M[0, -1]
+        assert len(records) == 10
+        assert {r["name"] for r in records if r["passed"]} == {"fejer_positivity"}
 
     def test_case_selector(self, capsys):
         code = main(["verify", "--case", "A3", "--trials", "50"])
@@ -264,6 +266,29 @@ class TestTable:
         assert code == EXIT_OK
         assert data["columns"] == ["q", "n", "branching_norm", "toeplitz_norm", "gap"]
         assert len(data["rows"]) == 4
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2", "--seed", "-1"],
+        ["verify", "--trials", "1", "--seed", "-1"],
+        ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000", "--seed", "-1"],
+        ["norm", "--symbol-file", "missing.json", "--q", "2", "--n", "2"],
+        ["dpp", "--symbol-file", "missing.json", "--q", "2", "--n", "2", "--samples", "1000"],
+        ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2", "--out", "missing/report.json"],
+        ["verify", "--trials", "1", "--out", "missing/verify.jsonl"],
+        ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2", "--out", "missing/table.csv"],
+        ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000", "--out", "missing/run"],
+        ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2", "--out", "."],
+        ["norm", "--symbol", '{"coeffs": [[0, null, 0]]}', "--q", "2", "--n", "2"],
+    ])
+    def test_exit_1_with_error_line_and_no_file(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDenseCapSetting:

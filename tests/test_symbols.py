@@ -55,6 +55,9 @@ class TestConstruction:
             Symbol.from_json("[1, 2]")
         with pytest.raises(ValueError):
             Symbol.from_json("{not json")
+        for text in ('{"coeffs": 5}', '{"coeffs": [[0, null, 0]]}', '{"coeffs": [[0, [1], 0]]}'):
+            with pytest.raises(ValueError):
+                Symbol.from_json(text)
 
 
 class TestConjugate:
