@@ -32,6 +32,8 @@ def main():
     print(f"{'incomparable_pair':<22} {a:>10.5f} {e:>10.5f} {se:>9.5f}")
     a, e, se = report.cardinality
     print(f"{'cardinality_mean':<22} {a:>10.5f} {e:>10.5f} {se:>9.5f}")
+    a, e, se = report.cardinality_var
+    print(f"{'cardinality_var':<22} {a:>10.5f} {e:>10.5f} {se:>9.5f}")
     print("\nper-ray spread at each distance (should sit inside the allowance):")
     for d, (spread, allow) in sorted(report.across_ray_spread.items()):
         print(f"  d={d}: spread {spread:.5f}, allowance {allow:.5f}")

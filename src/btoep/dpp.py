@@ -12,11 +12,13 @@ them with the closed-form values.
 Sampling uses the spectral method (Hough, Krishnapur, Peres & Virag 2006;
 Kulesza & Taskar 2012, Alg. 1): select eigenvectors by independent
 Bernoulli(lambda_i) draws, then sample the projection process with kernel
-W W^* point by point.  The next point i is drawn with probability
-proportional to |W[i]|^2, and conditioning on it is the rank-one
-projection W <- W - (W u) u^* with u = conj(W[i]) / |W[i]|.  A sample of
-k points on N vertices costs O(N k^2), and a run is fully determined by
-its seed.
+V V^* point by point.  After points s_1..s_j the conditioned kernel is
+V (I - E E^*) V^*, where E is an orthonormal basis of span{conj(V[s])}
+kept by Gram-Schmidt (Tremblay, Barthelme & Amblard 2018), so the next
+point is drawn with probability proportional to |V[i]|^2 - |(V E)[i]|^2.
+Each point adds one column to E and costs one O(N k) read-only product
+V @ e; V is never written.  A sample of k points on N vertices costs
+O(N k^2), and a run is fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -92,17 +94,26 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
 
 def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
     lam = kernel.eigenvalues
-    W = kernel.eigenvectors[:, rng.random(lam.shape[0]) < lam].copy()
+    V = kernel.eigenvectors[:, rng.random(lam.shape[0]) < lam]
+    N, k = V.shape
+    # E: orthonormal basis of span{conj(V[s]) : s drawn}; C = V @ E
+    E = np.zeros((k, k), dtype=V.dtype)
+    C = np.zeros((N, k), dtype=V.dtype)
+    p = np.einsum("ij,ij->i", V, V.conj()).real
     points = []
-    for _ in range(W.shape[1]):
-        marginals = np.clip(np.einsum("ij,ij->i", W, W.conj()).real, 0.0, None)
-        i = int(rng.choice(marginals.shape[0], p=marginals / marginals.sum()))
+    for j in range(k):
+        marginals = np.maximum(p, 0.0)
+        i = int(rng.choice(N, p=marginals / marginals.sum()))
         points.append(i)
-        # condition on i: project every row off conj(W[i]), which leaves
-        # W W^* the conditioned projection kernel; row i itself goes to 0
-        u = W[i].conj() / np.sqrt(marginals[i])
-        W -= np.outer(W @ u, u.conj())
-        W[i] = 0.0
+        # condition on i: the conditioned kernel is V (I - E E^*) V^*, so
+        # each marginal loses |V[r] @ e|^2 for the new direction e; the
+        # norm of e itself, not p[i], keeps a draw of probability 0 finite
+        e = V[i].conj() - E[:, :j] @ C[i, :j].conj()
+        e /= np.sqrt(np.vdot(e, e).real)
+        E[:, j] = e
+        C[:, j] = c = V @ e
+        p -= (c * c.conj()).real
+        p[i] = 0.0
     return sorted(points)
 
 
@@ -138,8 +149,9 @@ class SsspReport:
     stderr); incomparable_pair_corr is the same triple for incomparable
     pairs; across_ray_spread maps distance -> (max deviation between
     per-ray estimates, allowance) as the ray-invariance check; cardinality
-    is (analytic mean, empirical mean, stderr); draws are the samples all
-    of these are estimated from.
+    is (analytic mean, empirical mean, stderr) of the number of points and
+    cardinality_var the same triple for its variance; draws are the samples
+    all of these are estimated from.
     """
 
     samples: int
@@ -148,6 +160,7 @@ class SsspReport:
     incomparable_pair_corr: tuple
     across_ray_spread: dict = field(default_factory=dict)
     cardinality: tuple = (0.0, 0.0, 0.0)
+    cardinality_var: tuple = (0.0, 0.0, 0.0)
     draws: list = field(default_factory=list, repr=False, compare=False)
 
     def to_csv(self) -> str:
@@ -162,6 +175,8 @@ class SsspReport:
         rows.append(f"incomparable_pair,{a!r},{e!r},{s!r}")
         a, e, s = self.cardinality
         rows.append(f"cardinality_mean,{a!r},{e!r},{s!r}")
+        a, e, s = self.cardinality_var
+        rows.append(f"cardinality_var,{a!r},{e!r},{s!r}")
         for d in sorted(self.across_ray_spread):
             spread, allow = self.across_ray_spread[d]
             rows.append(f"across_ray_spread_d{d},0.0,{spread!r},{allow!r}")
@@ -229,6 +244,13 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
     else:  # q = 1 or n = 0: every pair of vertices is comparable
         incomparable = (f0**2, float("nan"), float("nan"))
     cardinality = (kernel.expected_points, *_mean_se(size))
+    # |S| is a sum of independent Bernoulli(lambda), one per eigenvalue;
+    # the stderr is that of the sample variance, from the fourth moment
+    lam = kernel.eigenvalues
+    var = size.var(ddof=1)
+    m4 = ((size - size.mean()) ** 4).mean()
+    var_se = np.sqrt((m4 - var**2 * (samples - 3) / (samples - 1)) / samples)
+    cardinality_var = (float((lam * (1 - lam)).sum()), float(var), float(var_se))
 
     return SsspReport(
         samples=samples,
@@ -237,5 +259,6 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
         incomparable_pair_corr=incomparable,
         across_ray_spread=spread,
         cardinality=cardinality,
+        cardinality_var=cardinality_var,
         draws=draws,
     )

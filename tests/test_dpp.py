@@ -138,6 +138,97 @@ class TestExactLaw:
             assert abs(law[S] - abs(np.linalg.det(V[list(S)])) ** 2) <= 1e-12
 
 
+class _RecordingRng:
+    """Stands in for the generator and keeps every probability vector the
+    sampler passes to choice, with the point it returned.  With an order
+    it selects every eigenvector with eigenvalue above 0 and plays that
+    order; without one it draws from default_rng(seed)."""
+
+    def __init__(self, order=None, seed=0):
+        self.order = None if order is None else iter(order)
+        self.rng = np.random.default_rng(seed)
+        self.kept, self.drawn = [], []
+
+    def random(self, size):
+        return np.zeros(size) if self.order is not None else self.rng.random(size)
+
+    def choice(self, n, p):
+        i = next(self.order) if self.order is not None else int(self.rng.choice(n, p=p))
+        self.kept.append(p.copy())
+        self.drawn.append(i)
+        return i
+
+
+def _conditional_diagonals(V, order):
+    """Row j is the diagonal of the projection kernel V V^* conditioned on
+    the points order[:j], over k - j: the squared norms of the rows of
+    conj(V) projected off span{conj(V[s]) : s in order[:j]}.  Householder
+    QR of the chosen rows in drawing order gives nested bases of these
+    spans, so one product projects off all of them."""
+    k = V.shape[1]
+    X = V.conj().T
+    Q, _ = np.linalg.qr(X[:, order])
+    removed = np.cumsum(np.abs(Q.conj().T @ X) ** 2, axis=0)
+    rows = (np.abs(X) ** 2).sum(axis=0) - np.vstack([np.zeros(X.shape[1]), removed[:-1]])
+    return rows / (k - np.arange(k))[:, None]
+
+
+def _assert_steps(V, rng, tol):
+    expected = _conditional_diagonals(V, rng.drawn)
+    assert len(rng.kept) == V.shape[1]
+    for j, p in enumerate(rng.kept):
+        assert np.abs(p - expected[j]).max() <= tol
+        # a drawn point can never be drawn again
+        assert not p[rng.drawn[:j]].any()
+
+
+@pytest.fixture(scope="module")
+def large_kernel():
+    return build_kernel(RAISED_COS, 3, 6)
+
+
+class TestSamplerSteps:
+    """Every probability vector the sampler draws from is the dense
+    conditional diagonal, not only the law of its output."""
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_scripted_orders(self, q, n, rank):
+        kernel = build_kernel(COMPLEX_HERM, q, n)
+        gen = np.random.default_rng(100 * q + rank)
+        for _ in range(5):
+            lam = np.zeros(kernel.dim)
+            lam[gen.choice(kernel.dim, rank, replace=False)] = 1.0
+            V = kernel.eigenvectors[:, lam > 0]
+            # only an order of positive probability has conditionals: the
+            # eigenvectors of a tree kernel vanish on whole subtrees
+            order = gen.choice(kernel.dim, rank, replace=False)
+            while abs(np.linalg.det(V[order])) ** 2 < 1e-6:
+                order = gen.choice(kernel.dim, rank, replace=False)
+            rng = _RecordingRng(order)
+            dpp._sample_with_rng(dataclasses.replace(kernel, eigenvalues=lam), rng)
+            _assert_steps(V, rng, 1e-12)
+
+    def test_real_draw_at_n1093(self, large_kernel):
+        rng = _RecordingRng(seed=5)
+        points = dpp._sample_with_rng(large_kernel, rng)
+        lam = large_kernel.eigenvalues
+        V = large_kernel.eigenvectors[:, np.random.default_rng(5).random(lam.size) < lam]
+        assert points == sorted(rng.drawn)
+        _assert_steps(V, rng, 1e-10)
+
+
+def test_large_draw_is_stable(large_kernel):
+    """At N = 1093 a draw has as many distinct points as selected
+    eigenvectors, and the chosen rows stay independent."""
+    seed = 20261018
+    lam = large_kernel.eigenvalues
+    V = large_kernel.eigenvectors[:, np.random.default_rng(seed).random(lam.size) < lam]
+    points = sample(large_kernel, seed).occupied
+    assert len(points) == len(set(points)) == V.shape[1] > 500
+    assert np.linalg.svd(V[list(points)], compute_uv=False).min() > 1e-6
+
+
 @pytest.fixture(scope="module")
 def raised_cos_report():
     k = build_kernel(RAISED_COS, 2, 4)
@@ -191,6 +282,42 @@ class TestDiagnostics:
         assert "comparable_pair_d1" in names
         assert "incomparable_pair" in names
         assert "cardinality_mean" in names
+        assert names[names.index("cardinality_mean") + 1] == "cardinality_var"
+
+    def test_cardinality_variance(self, raised_cos_report):
+        analytic, empirical, se = raised_cos_report.cardinality_var
+        assert abs(empirical - analytic) <= 4 * se
+
+
+def _cardinality_law(K):
+    """Law of |S| summed over all 2^N sets S, each of probability
+    |det(K - I_{S^c})|."""
+    N = K.shape[0]
+    law = np.zeros(N + 1)
+    inside = (np.arange(2**N)[:, None] >> np.arange(N)) & 1
+    for chunk in np.array_split(inside, max(1, 2**N // 4096)):
+        dets = np.linalg.det(K - (1 - chunk)[:, :, None] * np.eye(N))
+        law += np.bincount(chunk.sum(axis=1), weights=np.abs(dets), minlength=N + 1)
+    return law
+
+
+class TestCardinalityVariance:
+    """The analytic cardinality_var is the variance of |S| under the exact
+    law, a Poisson-binomial with one Bernoulli(lambda) per eigenvalue."""
+
+    @pytest.mark.parametrize(
+        "q, n, f", [(2, 2, RAISED_COS), (2, 3, RAISED_COS), (2, 3, COMPLEX_HERM), (3, 2, COMPLEX_HERM), (1, 6, COMPLEX_HERM)]
+    )
+    def test_brute_force_variance(self, q, n, f):
+        kernel = build_kernel(f, q, n)
+        law = _cardinality_law(kernel.matrix)
+        poisson_binomial = np.ones(1)
+        for lam in kernel.eigenvalues:
+            poisson_binomial = np.convolve(poisson_binomial, [1 - lam, lam])
+        assert np.abs(law - poisson_binomial).max() <= 1e-12
+        m = np.arange(kernel.dim + 1)
+        analytic = sssp_diagnostics(kernel, samples=1000, seed=3).cardinality_var[0]
+        assert abs(analytic - (law @ m**2 - (law @ m) ** 2)) <= 1e-12
 
 
 class TestDiagnosticsOracle:
