@@ -6,7 +6,17 @@ positivity certificates), and sampling of the induced determinantal point
 processes.
 """
 
-from .dpp import DppKernel, DppSample, build_kernel, sample, sample_many, sssp_diagnostics
+from .dpp import (
+    DppKernel,
+    DppSample,
+    build_kernel,
+    sample,
+    sample_chain,
+    sample_many,
+    sample_seeds,
+    sssp_diagnostics,
+    sssp_statistics,
+)
 from .operators import (
     BranchingOperator,
     OperatorTuple,

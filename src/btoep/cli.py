@@ -3,15 +3,18 @@
 Subcommands:
   norm    power-iteration operator norm of the uniform-weight operator
   verify  run the structural identity suites, JSON line per suite
-  dpp     sample the induced determinantal point process + diagnostics
+  dpp     sample the induced determinantal point process + diagnostics;
+          the draws come from the chain-rule sampler dpp.sample_chain, the
+          seed of each from dpp.sample_seeds, and the diagnostics from
+          dpp.sssp_statistics of those draws
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
 a negative --seed, an unreadable --symbol-file and an --out that cannot
 be written included), 2 norm non-convergence, 3 verification failure,
 4 kernel rejection, 5 size limit exceeded: the dense cap in any
-subcommand that builds a dense matrix, or the MAX_NORM_VERTICES limit of
-norm.
+subcommand that builds a dense matrix, the MAX_NORM_VERTICES limit of
+norm, or the MAX_DPP_VERTEX_SAMPLES limit of dpp.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -47,6 +50,11 @@ MAX_NORM_VERTICES = 2**26
 # the exact norm ||T_n|| that norm reports on stderr is a dense SVD of
 # order n + 1; only q = 1 can reach this order under MAX_NORM_VERTICES
 EXACT_NORM_MAX_ORDER = 1024
+# dpp refuses more vertices x samples than this before allocating: it
+# holds every draw until both files are written, an occupancy byte per
+# vertex and sample for the diagnostics plus about 40 bytes per drawn
+# point for the samples and their JSON lines
+MAX_DPP_VERTEX_SAMPLES = 2**26
 
 
 def _fail(msg: str, code: int) -> int:
@@ -180,13 +188,23 @@ def cmd_dpp(args) -> int:
             raise ValueError("invalid numeric parameters (need samples >= 1000)")
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
+    N = TreeShape(args.q, args.n).vertex_count
+    if N * args.samples > MAX_DPP_VERTEX_SAMPLES:
+        return _fail(
+            f"{N} vertices x {args.samples} samples is over the dpp limit "
+            f"{MAX_DPP_VERTEX_SAMPLES} vertex-samples",
+            EXIT_CAP_EXCEEDED,
+        )
     try:
+        # the [0, 1] check, the eigenvalues of the cardinality rows and
+        # the dense cap; the chain sampler itself reads only the symbol
         kernel = dpp_mod.build_kernel(f, args.q, args.n)
     except DenseCapError:
         raise  # exit 5, mapped in main
     except ValueError as exc:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
-    report = dpp_mod.sssp_diagnostics(kernel, args.samples, args.seed)
+    draws = [dpp_mod.sample_chain(kernel, s) for s in dpp_mod.sample_seeds(args.samples, args.seed)]
+    report = dpp_mod.sssp_statistics(kernel, draws)
     Path(args.out + ".samples.jsonl").write_text(dpp_mod.samples_to_jsonl(report.draws))
     Path(args.out + ".diagnostics.csv").write_text(report.to_csv())
     print(f"wrote {args.out}.samples.jsonl and {args.out}.diagnostics.csv")

@@ -5,26 +5,47 @@ kernel on the truncated tree, hence a determinantal point process whose
 k-point correlations are the principal minors.  Restricted to a rooted ray
 the kernel is an ordinary damped Toeplitz matrix, so the process is
 stationary along every ray with a common law, and incomparable vertices
-are independent (their kernel blocks are diagonal).  sssp_diagnostics
+are independent (their kernel blocks are diagonal).  sssp_statistics
 estimates exactly these signatures from Monte Carlo samples and compares
 them with the closed-form values.
 
-Sampling uses the spectral method (Hough, Krishnapur, Peres & Virag 2006;
-Kulesza & Taskar 2012, Alg. 1): select eigenvectors by independent
-Bernoulli(lambda_i) draws, then sample the projection process with kernel
-V V^* point by point.  After points s_1..s_j the conditioned kernel is
-V (I - E E^*) V^*, where E is an orthonormal basis of span{conj(V[s])}
-kept by Gram-Schmidt (Tremblay, Barthelme & Amblard 2018), so the next
-point is drawn with probability proportional to |V[i]|^2 - |(V E)[i]|^2.
-Each point adds one column to E and costs one O(N k) read-only product
-V @ e; V is never written.  A sample of k points on N vertices costs
-O(N k^2), and a run is fully determined by its seed.
+Two exact samplers draw from the same law; a run of either is fully
+determined by its seed.
+
+sample_chain is the chain-rule sampler (Poulson 2019, arXiv:1905.00165;
+Launay, Galerne & Desolneux 2018, arXiv:1802.08429) and the one `btoep
+dpp` uses.  It visits the vertices one by one, takes v with probability
+p = K[v, v] of the current kernel and conditions on the outcome by the
+Schur update K <- K - K[:, v] K[v, :] / (p - [v not taken]).  Visited
+leaf generation first, v is joined only to its ancestors at most
+r = min(n, support radius) generations up, so the update touches only
+entries among those ancestors, which are nonzero already: there is no
+fill.  Siblings stay uncoupled, so one rng.random(q^g) decides all of
+generation g, and the updates reach the ancestors by sums over
+contiguous groups of q^d vertices.  The state is the diagonal and the
+band K[v, anc_d(v)], d = 1..r, built from the symbol alone: O(N r^2) per
+sample with no dense matrix and no eigenvectors.
+
+sample and sample_many are the spectral sampler (Hough, Krishnapur,
+Peres & Virag 2006; Kulesza & Taskar 2012, Alg. 1): select eigenvectors
+by independent Bernoulli(lambda_i) draws, then sample the projection
+process with kernel V V^* point by point.  After points s_1..s_j the
+conditioned kernel is V (I - E E^*) V^*, where E is an orthonormal basis
+of span{conj(V[s])} kept by Gram-Schmidt (Tremblay, Barthelme & Amblard
+2018), so the next point is drawn with probability proportional to
+|V[i]|^2 - |(V E)[i]|^2.  Each point adds one column to E and costs one
+O(N k) read-only product V @ e; V is never written.  A sample of k points
+on N vertices costs O(N k^2) after the O(N^3) eigendecomposition of
+build_kernel.  sssp_diagnostics draws with it and is the reference the
+chain sampler is checked against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -38,12 +59,17 @@ __all__ = [
     "SsspReport",
     "build_kernel",
     "sample",
+    "sample_chain",
     "sample_many",
+    "sample_seeds",
     "sssp_diagnostics",
+    "sssp_statistics",
     "samples_to_jsonl",
 ]
 
 EIG_CLAMP = 1e-8
+# family-wise false-alarm level of the ray-invariance row
+RAY_LEVEL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,11 +149,59 @@ def sample(kernel: DppKernel, seed: int) -> DppSample:
     return DppSample(tuple(_sample_with_rng(kernel, rng)), seed)
 
 
+def sample_seeds(n_samples: int, seed: int) -> list:
+    """Per-sample seeds split off the base seed: draw t of a run is the
+    draw of seed sample_seeds(n_samples, seed)[t]."""
+    return np.random.default_rng(seed).integers(0, 2**63, size=n_samples).tolist()
+
+
 def sample_many(kernel: DppKernel, n_samples: int, seed: int):
-    """Independent draws with per-sample seeds split off the base seed."""
-    master = np.random.default_rng(seed)
-    seeds = master.integers(0, 2**63, size=n_samples)
-    return [sample(kernel, int(s)) for s in seeds]
+    """Independent spectral draws with per-sample seeds split off the base seed."""
+    return [sample(kernel, s) for s in sample_seeds(n_samples, seed)]
+
+
+def _chain_with_rng(kernel: DppKernel, rng) -> list:
+    shape, f = kernel.shape, kernel.symbol
+    q, n, starts = shape.q, shape.depth, shape.generation_starts
+    r = min(n, f.support_radius)
+    # band[d - 1] = K[v, anc_d(v)] of the unconditioned kernel
+    band = np.array([f.coeff(d) * q ** (-d / 2) for d in range(1, r + 1)])
+    if not band.imag.any():
+        band = band.real
+    diag = np.full(shape.vertex_count, f.coeff(0).real)
+    L = np.zeros((shape.vertex_count, r), dtype=band.dtype)
+    for d in range(1, r + 1):
+        L[starts[d] :, d - 1] = band[d - 1]
+    occupied = np.zeros(shape.vertex_count, dtype=bool)
+    for g in range(n, -1, -1):
+        lo, hi = starts[g], starts[g + 1]
+        # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
+        # rounding outside [0, 1] needs no clamp and no pivot is 0
+        p = diag[lo:hi]
+        taken = occupied[lo:hi] = rng.random(hi - lo) < p
+        rg = min(r, g)
+        if not rg:
+            continue
+        Lg = L[lo:hi, :rg]
+        scaled = Lg.conj() / (p - ~taken)[:, None]
+        for d in range(1, rg + 1):
+            # K[anc_d, anc_e] -= conj(L[v, d]) L[v, e] / (p - [v not taken])
+            # for e = d..rg, summed over the q^d vertices below anc_d
+            a, m = starts[g - d], (hi - lo) // q**d
+            upd = (scaled[:, d - 1, None] * Lg[:, d - 1 :]).reshape(m, -1, rg - d + 1).sum(axis=1)
+            diag[a : a + m] -= upd[:, 0].real
+            L[a : a + m, : rg - d] -= upd[:, 1:]
+    return np.flatnonzero(occupied).tolist()
+
+
+def sample_chain(kernel: DppKernel, seed: int) -> DppSample:
+    """One chain-rule draw of the point process with kernel K.
+
+    Reads only kernel.shape and kernel.symbol.  Same law as sample, but a
+    different use of the seed, so the two give different points.
+    """
+    rng = np.random.default_rng(seed)
+    return DppSample(tuple(_chain_with_rng(kernel, rng)), seed)
 
 
 def samples_to_jsonl(samples) -> str:
@@ -148,10 +222,15 @@ class SsspReport:
     ray_pair_corr maps comparable-pair distance -> (analytic, empirical,
     stderr); incomparable_pair_corr is the same triple for incomparable
     pairs; across_ray_spread maps distance -> (max deviation between
-    per-ray estimates, allowance) as the ray-invariance check; cardinality
-    is (analytic mean, empirical mean, stderr) of the number of points and
-    cardinality_var the same triple for its variance; draws are the samples
-    all of these are estimated from.
+    per-ray estimates, allowance), a range that exact draws exceed more
+    often the more rays there are; cardinality is (analytic mean,
+    empirical mean, stderr) of the number of points and cardinality_var
+    the same triple for its variance; ray_invariance is (max |z|, critical
+    value), the calibrated ray-invariance check: z is a per-ray estimate
+    of the one-point intensity or of a pair correlation minus its analytic
+    value, over the stderr pooled over the rays, for every ray and
+    distance, and the critical value is Sidak's at family-wise level
+    RAY_LEVEL; draws are the samples all of these are estimated from.
     """
 
     samples: int
@@ -161,6 +240,7 @@ class SsspReport:
     across_ray_spread: dict = field(default_factory=dict)
     cardinality: tuple = (0.0, 0.0, 0.0)
     cardinality_var: tuple = (0.0, 0.0, 0.0)
+    ray_invariance: tuple = (0.0, 0.0)
     draws: list = field(default_factory=list, repr=False, compare=False)
 
     def to_csv(self) -> str:
@@ -180,6 +260,8 @@ class SsspReport:
         for d in sorted(self.across_ray_spread):
             spread, allow = self.across_ray_spread[d]
             rows.append(f"across_ray_spread_d{d},0.0,{spread!r},{allow!r}")
+        z, critical = self.ray_invariance
+        rows.append(f"ray_invariance_max_abs_z,0.0,{z!r},{critical!r}")
         return "\n".join(rows) + "\n"
 
 
@@ -199,14 +281,33 @@ def _mean_se(per_sample: np.ndarray):
     return m.tolist(), se.tolist()
 
 
+def _max_abs_z(estimates, ses, analytic) -> float:
+    """Largest |estimate - analytic| / stderr over per-ray estimates.
+
+    Every ray has the same law, so the stderr is pooled over the rays: a
+    ray's own stderr, small exactly when its estimate is, would inflate
+    the skewed tail.  Without spread z counts 0 at the analytic value and
+    inf elsewhere."""
+    dev = np.abs(np.subtract(estimates, analytic)).max()
+    se = np.sqrt(np.mean(np.square(ses)))
+    return float(dev / se) if se > 0 else (0.0 if dev == 0 else float("inf"))
+
+
 def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
-    """Monte Carlo estimates of the stationarity/independence signatures."""
+    """sssp_statistics of sample_many(kernel, samples, seed), the spectral
+    sampler's draws."""
+    return sssp_statistics(kernel, sample_many(kernel, samples, seed))
+
+
+def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
+    """Monte Carlo estimates of the stationarity/independence signatures
+    from the given draws of the process with this kernel."""
+    samples = len(draws)
     if samples < 1000:
         raise ValueError("need at least 1000 samples for stable diagnostics")
     shape = kernel.shape
     q, n, N = shape.q, shape.depth, kernel.dim
     starts = np.asarray(shape.generation_starts)
-    draws = sample_many(kernel, samples, seed)
     X = _occupancy(draws, N)
     f0 = kernel.symbol.coeff(0).real
 
@@ -217,11 +318,12 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
     # comparable pairs at distance d: each vertex v of generation >= d with
     # its depth-d ancestor, in row v - starts[d] of pair.  Row l of rays
     # runs from the root to leaf l, so the pairs along that ray, which the
-    # ray-invariance check pools, are the rows rays[l, d:] - starts[d].
+    # ray-invariance checks pool, are the rows rays[l, d:] - starts[d].
     # Every other pair is incomparable.
     gen_of = np.repeat(np.arange(n + 1), np.diff(starts))
     offs = np.arange(N) - starts[gen_of]
     rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
+    max_z = _max_abs_z(*_mean_se(X[rays].sum(axis=1) / (n + 1)), f0)
     ray_pair, spread = {}, {}
     comparable = np.zeros(samples, dtype=int)
     incomparable_pairs = N * (N - 1) // 2
@@ -236,6 +338,12 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
         ray_pair[d] = (analytic, *_mean_se(count / u.size))
         estimates, ses = _mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
         spread[d] = (max(estimates) - min(estimates), 4 * max(ses))
+        max_z = max(max_z, _max_abs_z(estimates, ses, analytic))
+    # Sidak: m two-sided tests, each at level 1 - (1 - RAY_LEVEL)^(1/m),
+    # keep the family-wise level at most RAY_LEVEL for jointly normal z
+    # whatever their correlation; there are q^n rays and n + 1 distances
+    tail = -math.expm1(math.log1p(-RAY_LEVEL) / (q**n * (n + 1)))
+    ray_invariance = (max_z, -NormalDist().inv_cdf(tail / 2))
 
     size = X.sum(axis=0)
     if incomparable_pairs:
@@ -260,5 +368,6 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
         across_ray_spread=spread,
         cardinality=cardinality,
         cardinality_var=cardinality_var,
+        ray_invariance=ray_invariance,
         draws=draws,
     )

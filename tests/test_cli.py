@@ -23,6 +23,8 @@ SKEW = '{"coeffs": [[-1, -0.6, 0], [0, 0.8, 0], [1, 0.6, 0]]}'
 TWO_COS = '{"coeffs": [[-1, 1, 0], [1, 1, 0]]}'
 HERMITIAN = '{"coeffs": [[-1, 0.5, 0.2], [0, 1, 0], [1, 0.5, -0.2]]}'
 RAISED_COS = '{"coeffs": [[-1, 0.25, 0], [0, 0.5, 0], [1, 0.25, 0]]}'
+# radius 2, complex, values in [0.04, 0.96]
+TWO_RADIUS = '{"coeffs": [[-2, 0.06, 0.06], [-1, 0.12, -0.08], [0, 0.5, 0], [1, 0.12, 0.08], [2, 0.06, -0.06]]}'
 
 
 class TestNorm:
@@ -187,9 +189,11 @@ class TestDpp:
         assert not (tmp_path / "bad.diagnostics.csv").exists()
 
     def test_draws_each_sample_once(self, tmp_path, capsys, monkeypatch):
+        # once per sample through the chain sampler, never the spectral one
         draws = []
-        sample = dpp.sample
-        monkeypatch.setattr(dpp, "sample", lambda k, s: draws.append(s) or sample(k, s))
+        sample_chain = dpp.sample_chain
+        monkeypatch.setattr(dpp, "sample_chain", lambda k, s: draws.append(sample_chain(k, s)) or draws[-1])
+        monkeypatch.setattr(dpp, "sample", lambda k, s: pytest.fail("btoep dpp called dpp.sample"))
         out = tmp_path / "run"
         code = main(
             ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2",
@@ -197,10 +201,10 @@ class TestDpp:
         )
         capsys.readouterr()
         assert code == EXIT_OK
-        assert len(draws) == 1000
+        assert [s.rng_seed for s in draws] == dpp.sample_seeds(1000, 11)
         monkeypatch.undo()
         kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
-        expected = dpp.sssp_diagnostics(kernel, 1000, 11).to_csv()
+        expected = dpp.sssp_statistics(kernel, draws).to_csv()
         assert (tmp_path / "run.diagnostics.csv").read_text() == expected
 
     @pytest.mark.parametrize("q, n", [(1, 5), (2, 0)])
@@ -222,6 +226,39 @@ class TestDpp:
         assert code == EXIT_CAP_EXCEEDED
         assert "cap" in capsys.readouterr().err
         assert not (tmp_path / "big.samples.jsonl").exists()
+
+    def test_seed_reproduces_its_line(self, tmp_path, capsys):
+        code = main(["dpp", "--symbol", TWO_RADIUS, "--q", "3", "--n", "3",
+                     "--samples", "1000", "--seed", "5", "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        lines = (tmp_path / "run.samples.jsonl").read_text().splitlines()
+        kernel = dpp.build_kernel(Symbol.from_json(TWO_RADIUS), 3, 3)
+        for line in lines[::97]:
+            record = json.loads(line)
+            assert list(dpp.sample_chain(kernel, record["seed"]).occupied) == record["occupied"]
+
+    def test_vertex_sample_limit_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oversized run reached the sampler")
+
+        for name in ("build_kernel", "sample_seeds", "sample_chain", "sample"):
+            monkeypatch.setattr(dpp, name, refuse)
+        code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "3",
+                     "--samples", "1000000000000", "--out", str(tmp_path / "big")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CAP_EXCEEDED
+        assert err.startswith("error:") and str(cli.MAX_DPP_VERTEX_SAMPLES) in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vertex_sample_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # 15 vertices x 1000 samples fit a limit of 15000, 1001 samples do not
+        monkeypatch.setattr(cli, "MAX_DPP_VERTEX_SAMPLES", 15000)
+        argv = ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "3", "--out", str(tmp_path / "run")]
+        assert main(argv + ["--samples", "1000"]) == EXIT_OK
+        assert main(argv + ["--samples", "1001"]) == EXIT_CAP_EXCEEDED
+        assert "15000" in capsys.readouterr().err
 
     def test_rejects_bad_sample_count(self, capsys):
         code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2",

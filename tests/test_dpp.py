@@ -1,15 +1,26 @@
 import dataclasses
 import itertools
 import json
+import math
+import warnings
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from btoep import dpp
-from btoep.dpp import build_kernel, sample, sample_many, samples_to_jsonl, sssp_diagnostics
+from btoep.dpp import (
+    DppSample,
+    build_kernel,
+    sample,
+    sample_many,
+    samples_to_jsonl,
+    sssp_diagnostics,
+    sssp_statistics,
+)
 from btoep.symbols import Symbol
-from btoep.tree import Relation, ancestor, comparability, linear_index, vertex_from_index
+from btoep.tree import Relation, TreeShape, ancestor, comparability, linear_index, vertex_from_index
 
 RAISED_COS = Symbol({-1: 0.25, 0: 0.5, 1: 0.25})  # (1 + cos theta) / 2
 # 1/2 + 2 Re((0.2 + 0.1i) e^{i theta}) stays in [0.05, 0.95]; complex
@@ -379,3 +390,229 @@ class TestExactFactorization:
                 assert abs(det - prod) <= 1e-12
                 triples += 1
         assert triples > 0
+
+
+# radius 2 and 3, complex: values stay in [0.04, 0.96] and [0.006, 0.994]
+RADIUS2 = Symbol({-2: 0.06 + 0.06j, -1: 0.12 - 0.08j, 0: 0.5, 1: 0.12 + 0.08j, 2: 0.06 - 0.06j})
+RADIUS3 = Symbol({-3: -0.08 - 0.03j, -2: -0.05j, -1: 0.1 - 0.05j, 0: 0.5,
+                  1: 0.1 + 0.05j, 2: 0.05j, 3: -0.08 + 0.03j})
+
+
+class _Path:
+    """What _PathRng.random returns: compared with the marginals p, it
+    gives the path's decisions for those vertices and multiplies up the
+    probability the sampler gave them."""
+
+    def __init__(self, rng, bits):
+        self.rng, self.bits = rng, bits
+
+    def __lt__(self, p):
+        self.rng.prob *= np.where(self.bits, p, 1 - p).prod()
+        return self.bits
+
+
+class _PathRng:
+    """Stands in for the generator of the chain sampler and plays one
+    decision path: bit i says whether vertex i is taken.  The sampler asks
+    for one generation at a time, deepest first."""
+
+    def __init__(self, bits):
+        self.bits, self.end, self.prob = bits, bits.size, 1.0
+
+    def random(self, size):
+        self.end -= size
+        return _Path(self, self.bits[self.end : self.end + size])
+
+
+def _set_laws(K):
+    """Every set S as a boolean row, and |det(K - I_{S^c})| for each."""
+    N = K.shape[0]
+    inside = (np.arange(2**N)[:, None] >> np.arange(N)) & 1 == 1
+    law = np.concatenate([
+        np.abs(np.linalg.det(K - (~chunk)[:, :, None] * np.eye(N)))
+        for chunk in np.array_split(inside, max(1, 2**N // 4096))
+    ])
+    return inside, law
+
+
+class TestChainExactLaw:
+    """Summed over all 2^N decision paths, the chain sampler gives each set
+    S the probability |det(K - I_{S^c})|, the law of the DPP with kernel K."""
+
+    @pytest.mark.parametrize(
+        "q, n, f",
+        [(2, 2, COMPLEX_HERM), (2, 2, RADIUS2), (3, 1, RADIUS2), (2, 2, RADIUS3), (1, 6, COMPLEX_HERM),
+         (1, 8, RADIUS3), (3, 2, COMPLEX_HERM), (2, 3, RADIUS3)],
+    )
+    def test_set_probabilities(self, q, n, f):
+        kernel = build_kernel(f, q, n)
+        sets, law = _set_laws(kernel.matrix)
+        probs = np.empty(law.size)
+        for i, bits in enumerate(sets):
+            rng = _PathRng(bits)
+            assert dpp._chain_with_rng(kernel, rng) == np.flatnonzero(bits).tolist()
+            probs[i] = rng.prob
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert np.abs(probs - law).max() <= 1e-12
+
+    @pytest.mark.parametrize("q, n, f", [(3, 3, COMPLEX_HERM), (2, 6, RAISED_COS), (4, 3, RADIUS3)])
+    def test_drawn_sets_at_larger_n(self, q, n, f):
+        # too many sets to enumerate: check the sets the sampler draws, the
+        # probability of a path is |det(K - I_{S^c})| to 1e-12 relative
+        kernel = build_kernel(f, q, n)
+        for seed in range(10):
+            points = dpp.sample_chain(kernel, seed).occupied
+            bits = np.zeros(kernel.dim, dtype=bool)
+            bits[list(points)] = True
+            rng = _PathRng(bits)
+            assert tuple(dpp._chain_with_rng(kernel, rng)) == points
+            _, logdet = np.linalg.slogdet(kernel.matrix - np.diag(~bits * 1.0))
+            assert abs(np.log(rng.prob) - logdet) <= 1e-12
+
+
+class TestSampleChain:
+    def test_reads_only_shape_and_symbol(self):
+        kernel = build_kernel(COMPLEX_HERM, 3, 3)
+        bare = SimpleNamespace(shape=kernel.shape, symbol=kernel.symbol)
+        for seed in range(5):
+            assert dpp.sample_chain(bare, seed) == dpp.sample_chain(kernel, seed)
+
+    @pytest.mark.parametrize("q, n", [(1, 0), (1, 5), (2, 0), (3, 0)])
+    def test_path_and_lone_root_quiet(self, q, n, capfd):
+        kernel = build_kernel(RADIUS3, q, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [dpp.sample_chain(kernel, s) for s in range(200)]
+        assert capfd.readouterr().err == ""
+        counts = np.bincount([i for s in draws for i in s.occupied], minlength=kernel.dim)
+        assert counts.size == kernel.dim and 0 < counts.min() and counts.max() < 200
+
+    def test_radius_beyond_depth(self):
+        # radius 3 on depth 1: only the parent band exists
+        kernel = build_kernel(RADIUS3, 4, 1)
+        bits = np.zeros(5, dtype=bool)
+        rng = _PathRng(bits)
+        assert dpp._chain_with_rng(kernel, rng) == []
+        assert rng.prob == pytest.approx(abs(np.linalg.det(kernel.matrix - np.eye(5))), abs=1e-15)
+
+    def test_zero_symbol_no_points(self):
+        kernel = build_kernel(Symbol({}), 2, 3)
+        for seed in range(5):
+            assert dpp.sample_chain(kernel, seed).occupied == ()
+
+    def test_identity_symbol_every_vertex(self):
+        kernel = build_kernel(Symbol({0: 1}), 2, 3)
+        for seed in range(5):
+            assert dpp.sample_chain(kernel, seed).occupied == tuple(range(15))
+
+    def test_seed_reproducible(self):
+        kernel = build_kernel(RADIUS2, 2, 4)
+        assert dpp.sample_chain(kernel, 123) == dpp.sample_chain(kernel, 123)
+        draws = [dpp.sample_chain(kernel, s).occupied for s in range(20)]
+        assert len(set(draws)) == 20
+
+    def test_cardinality_two_sample(self):
+        # two-sample Kolmogorov-Smirnov at level 1e-3 between the sizes of
+        # chain draws and Poisson-binomial draws: a spectral draw keeps each
+        # eigenvector with probability its eigenvalue and has one point each
+        kernel = build_kernel(COMPLEX_HERM, 2, 5)
+        m, lam = 3000, kernel.eigenvalues
+        chain = [len(dpp.sample_chain(kernel, s).occupied) for s in dpp.sample_seeds(m, 8)]
+        spectral = (np.random.default_rng(9).random((m, lam.size)) < lam).sum(axis=1)
+        grid = np.arange(kernel.dim + 1)
+        ecdf = [np.searchsorted(np.sort(x), grid, side="right") / m for x in (chain, spectral)]
+        assert np.abs(ecdf[0] - ecdf[1]).max() <= 1.949 * np.sqrt(2 / m)
+
+    def test_large_tree_without_dense_kernel(self):
+        # N = 131,071: far over the dense cap, and the mean intensity is
+        # h(0) within 5 standard errors (|S| has variance at most N / 4)
+        shape = TreeShape(2, 16)
+        bare = SimpleNamespace(shape=shape, symbol=RAISED_COS)
+        N = shape.vertex_count
+        for seed in range(3):
+            points = dpp.sample_chain(bare, seed).occupied
+            assert list(points) == sorted(set(points)) and 0 <= points[0] and points[-1] < N
+            assert abs(len(points) / N - 0.5) <= 5 * 0.5 / np.sqrt(N)
+
+
+def test_sample_many_unchanged():
+    """The spectral sampler's draws stay those of earlier releases."""
+    draws = sample_many(build_kernel(COMPLEX_HERM, 2, 3), 4, seed=2026)
+    assert [(s.rng_seed, s.occupied) for s in draws] == [
+        (1650382356873837781, (1, 3, 6, 8, 10, 12, 13)),
+        (5902157198672373343, (1, 2, 5, 8, 9, 10, 12, 14)),
+        (4309790304812660981, (3, 6, 9, 10, 11)),
+        (3417264201368325689, (0, 1, 4, 5, 6, 7, 8, 9, 12, 13)),
+    ]
+    assert [s.rng_seed for s in draws] == dpp.sample_seeds(4, 2026)
+
+
+class TestRayInvariance:
+    """The ray_invariance row: per-ray one-point and pair estimates against
+    their analytic values, max |z| over rays and distances, compared with
+    Sidak's critical value at family-wise level RAY_LEVEL."""
+
+    def test_oracle(self):
+        kernel = build_kernel(COMPLEX_HERM, 3, 2)
+        draws = [dpp.sample_chain(kernel, s) for s in dpp.sample_seeds(1000, 21)]
+        report = dpp.sssp_statistics(kernel, draws)
+        shape, q, n = kernel.shape, 3, 2
+        X = np.zeros((len(draws), kernel.dim))
+        for t, s in enumerate(draws):
+            X[t, list(s.occupied)] = 1.0
+        f0 = COMPLEX_HERM.coeff(0).real
+        worst = 0.0
+        for d in range(n + 1):
+            analytic = f0 if d == 0 else f0**2 - q ** (-d) * abs(COMPLEX_HERM.coeff(d)) ** 2
+            means, ses = [], []
+            for leaf in map(vertex_from_index, range(shape.generation_starts[n], kernel.dim), itertools.repeat(shape)):
+                ray = [linear_index(ancestor(leaf, n - g, q), shape) for g in range(n + 1)]
+                per = np.mean([X[:, ray[g]] * X[:, ray[g + d]] if d else X[:, ray[g]] for g in range(n + 1 - d)], axis=0)
+                means.append(per.mean())
+                ses.append(per.std(ddof=1) / np.sqrt(per.size))
+            worst = max(worst, np.abs(np.subtract(means, analytic)).max() / np.sqrt(np.mean(np.square(ses))))
+        z, critical = report.ray_invariance
+        assert abs(z - worst) <= 1e-12 * worst
+        # Sidak: the q^n (n + 1) two-sided tests at this critical value
+        # have family-wise level RAY_LEVEL
+        tail = math.erfc(critical / math.sqrt(2))
+        assert abs(1 - (1 - tail) ** (q**n * (n + 1)) - dpp.RAY_LEVEL) <= 1e-9 * dpp.RAY_LEVEL
+        assert report.to_csv().splitlines()[-1] == f"ray_invariance_max_abs_z,0.0,{z!r},{critical!r}"
+
+    def test_calibrated_on_exact_draws(self):
+        # 200 fixed seeds of 1000 chain draws each: the false-alarm rate
+        # stays within the nominal level plus 3 binomial standard errors
+        kernel = build_kernel(RAISED_COS, 2, 6)
+        seeds, level = range(200), dpp.RAY_LEVEL
+        alarms = 0
+        for seed in seeds:
+            draws = [dpp.sample_chain(kernel, s) for s in dpp.sample_seeds(1000, seed)]
+            z, critical = dpp.sssp_statistics(kernel, draws).ray_invariance
+            alarms += z > critical
+        assert alarms <= len(seeds) * level + 3 * np.sqrt(len(seeds) * level * (1 - level))
+
+    def test_power_on_planted_ray(self):
+        # independent points, i.e. a diagonal kernel, of intensity 1/2
+        # except below the root on the ray to leaf 0, where it is 0.55
+        kernel = build_kernel(Symbol({0: 0.5}), 2, 6)
+        p = np.full(kernel.dim, 0.5)
+        rng = np.random.default_rng(4)
+
+        def draws():
+            return [DppSample(tuple(np.flatnonzero(rng.random(p.size) < p).tolist()), 0) for _ in range(1000)]
+
+        z, critical = sssp_statistics(kernel, draws()).ray_invariance
+        assert z <= critical
+        p[list(kernel.shape.generation_starts[1:-1])] = 0.55
+        z, critical = sssp_statistics(kernel, draws()).ray_invariance
+        assert z > critical
+
+    @pytest.mark.parametrize("f", [Symbol({}), Symbol({0: 1})])
+    def test_draws_without_spread(self, f):
+        # no points or every vertex in each draw: every estimate is its
+        # analytic value exactly and no stderr, so z is 0 without a warning
+        kernel = build_kernel(f, 2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sssp_statistics(kernel, [dpp.sample_chain(kernel, s) for s in range(1000)])
+        assert report.ray_invariance[0] == 0.0
