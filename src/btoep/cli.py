@@ -12,9 +12,12 @@ Subcommands:
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
 a negative --seed, an unreadable --symbol-file and an --out that cannot
 be written included), 2 norm non-convergence, 3 verification failure,
-4 kernel rejection, 5 size limit exceeded: the dense cap in any
-subcommand that builds a dense matrix, the MAX_NORM_VERTICES limit of
-norm, or the MAX_DPP_VERTEX_SAMPLES limit of dpp.
+4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
+of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
+or the dense cap on the largest tree (q_max, n_max) of table, each decided
+from (q, n) before anything is built; table builds no dense matrix but
+still refuses such a grid.  verify and dpp exit 5 too when a dense matrix
+they build would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -63,11 +66,11 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _load_symbol(args) -> Symbol:
-    if getattr(args, "symbol", None) and getattr(args, "symbol_file", None):
+    if args.symbol and args.symbol_file:
         raise ValueError("give either --symbol or --symbol-file, not both")
-    if getattr(args, "symbol", None):
+    if args.symbol:
         return Symbol.from_json(args.symbol)
-    if getattr(args, "symbol_file", None):
+    if args.symbol_file:
         try:
             text = Path(args.symbol_file).read_text()
         except OSError as exc:
@@ -76,9 +79,23 @@ def _load_symbol(args) -> Symbol:
     raise ValueError("a symbol is required (--symbol or --symbol-file)")
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
+def _emit(out: str | None, text: str) -> None:
+    """Print text and, given --out, write the same bytes there."""
+    print(text, end="")
+    if out:
+        Path(out).write_text(text)
+
+
+def _over_limit(q: int, n: int, what: str, limit: int, samples: int = 1) -> int | None:
+    """Exit 5 with an error line when |B_n| x samples is over limit, else None.
+
+    For q >= 2, |B_n| >= 2^n, so a depth of limit.bit_length() or more is
+    over the limit and q^(n+1) is only formed for trees near it.
+    """
+    if (q > 1 and n >= limit.bit_length()) or TreeShape(q, n).vertex_count * samples > limit:
+        per, unit = (f" x {samples} samples", "vertex-samples") if samples > 1 else ("", "vertices")
+        return _fail(f"(q={q}, n={n}){per} is over the {what} of {limit} {unit}", EXIT_CAP_EXCEEDED)
+    return None
 
 
 def _add_symbol_args(p):
@@ -130,24 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_norm(args) -> int:
-    try:
-        f = _load_symbol(args)
-        if args.q < 1 or args.n < 0 or not 0 < args.tol < np.inf or args.max_iter < 1:
-            raise ValueError("invalid numeric parameters")
-        op = BranchingOperator.uniform(args.q, args.n, f)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    if op.dim > MAX_NORM_VERTICES:
-        return _fail(
-            f"(q={args.q}, n={args.n}) has {op.dim} vertices, over the norm limit {MAX_NORM_VERTICES}",
-            EXIT_CAP_EXCEEDED,
-        )
+    if args.q < 1 or args.n < 0 or not 0 < args.tol < np.inf or args.max_iter < 1:
+        return _fail("invalid numeric parameters", EXIT_INPUT)
+    if code := _over_limit(args.q, args.n, "norm limit", MAX_NORM_VERTICES):
+        return code
+    op = BranchingOperator.uniform(args.q, args.n, args.f)
     report = operator_norm(op, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     if args.n + 1 > EXACT_NORM_MAX_ORDER:
         print(f"exact norm not computed: T_n has order {args.n + 1} > {EXACT_NORM_MAX_ORDER}", file=sys.stderr)
     else:
         # the operator norm is the largest block norm, ||T_n|| by interlacing
-        exact = float(np.linalg.norm(toeplitz_dense(f, args.n), 2))
+        exact = float(np.linalg.norm(toeplitz_dense(args.f, args.n), 2))
         err = abs(report.norm_estimate - exact) / exact if exact > 0 else report.norm_estimate
         print(f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}", file=sys.stderr)
     if args.format == "csv":
@@ -158,8 +168,7 @@ def cmd_norm(args) -> int:
         )
     else:
         text = report.to_json()
-    print(text)
-    _write_out(args.out, text + "\n")
+    _emit(args.out, text + "\n")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -174,31 +183,19 @@ def cmd_verify(args) -> int:
         ]
     else:
         results = verify_mod.run_all(seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry)
-    lines = [json.dumps(r.to_dict()) for r in results]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    _write_out(args.out, text)
+    _emit(args.out, "".join(json.dumps(r.to_dict()) + "\n" for r in results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
 def cmd_dpp(args) -> int:
-    try:
-        f = _load_symbol(args)
-        if args.q < 1 or args.n < 0 or args.samples < 1000:
-            raise ValueError("invalid numeric parameters (need samples >= 1000)")
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    N = TreeShape(args.q, args.n).vertex_count
-    if N * args.samples > MAX_DPP_VERTEX_SAMPLES:
-        return _fail(
-            f"{N} vertices x {args.samples} samples is over the dpp limit "
-            f"{MAX_DPP_VERTEX_SAMPLES} vertex-samples",
-            EXIT_CAP_EXCEEDED,
-        )
+    if args.q < 1 or args.n < 0 or args.samples < 1000:
+        return _fail("invalid numeric parameters (need samples >= 1000)", EXIT_INPUT)
+    if code := _over_limit(args.q, args.n, "dpp limit", MAX_DPP_VERTEX_SAMPLES, args.samples):
+        return code
     try:
         # the [0, 1] check, the eigenvalues of the cardinality rows and
         # the dense cap; the chain sampler itself reads only the symbol
-        kernel = dpp_mod.build_kernel(f, args.q, args.n)
+        kernel = dpp_mod.build_kernel(args.f, args.q, args.n)
     except DenseCapError:
         raise  # exit 5, mapped in main
     except ValueError as exc:
@@ -212,25 +209,16 @@ def cmd_dpp(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        f = _load_symbol(args)
-        if args.q_max < 1 or args.n_max < 0:
-            raise ValueError("invalid numeric parameters")
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    cap = dense_cap()
-    for q in range(1, args.q_max + 1):
-        if TreeShape(q, args.n_max).vertex_count > cap:
-            return _fail(
-                f"(q={q}, n={args.n_max}) needs {TreeShape(q, args.n_max).vertex_count} "
-                f"rows, over the dense cap {cap}",
-                EXIT_CAP_EXCEEDED,
-            )
+    if args.q_max < 1 or args.n_max < 0:
+        return _fail("invalid numeric parameters", EXIT_INPUT)
+    # vertex counts grow with q, so the largest tree of the grid is (q_max, n_max)
+    if code := _over_limit(args.q_max, args.n_max, "dense cap", dense_cap()):
+        return code
     cells = []
     for q in range(1, args.q_max + 1):
         for n in range(1, args.n_max + 1):
-            bn = float(singular_values(BranchingOperator.uniform(q, n, f))[0])
-            tn = float(np.linalg.norm(toeplitz_dense(f, n), 2))
+            bn = float(singular_values(BranchingOperator.uniform(q, n, args.f))[0])
+            tn = float(np.linalg.norm(toeplitz_dense(args.f, n), 2))
             cells.append((q, n, bn, tn, bn - tn))
     columns = ["q", "n", "branching_norm", "toeplitz_norm", "gap"]
     if args.format == "json":
@@ -239,8 +227,7 @@ def cmd_table(args) -> int:
         rows = [",".join(columns)]
         rows += [f"{q},{n},{bn!r},{tn!r},{gap!r}" for q, n, bn, tn, gap in cells]
         text = "\n".join(rows) + "\n"
-    print(text, end="")
-    _write_out(args.out, text)
+    _emit(args.out, text)
     return EXIT_OK
 
 
@@ -262,6 +249,8 @@ def main(argv=None) -> int:
         if handler is not cmd_norm:
             # every other subcommand builds dense matrices under the cap
             dense_cap()
+        if handler is not cmd_verify:
+            args.f = _load_symbol(args)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:

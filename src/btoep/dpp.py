@@ -36,8 +36,10 @@ of span{conj(V[s])} kept by Gram-Schmidt (Tremblay, Barthelme & Amblard
 |V[i]|^2 - |(V E)[i]|^2.  Each point adds one column to E and costs one
 O(N k) read-only product V @ e; V is never written.  A sample of k points
 on N vertices costs O(N k^2) after the O(N^3) eigendecomposition of
-build_kernel.  sssp_diagnostics draws with it and is the reference the
-chain sampler is checked against.
+build_kernel.  sssp_diagnostics draws with it.  The chain sampler is
+checked against the exact law |det(K - I_{S^c})| of the dense kernel and
+against the Poisson-binomial law of its eigenvalues for |S|, not against
+the spectral sampler.
 """
 
 from __future__ import annotations

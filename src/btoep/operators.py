@@ -85,7 +85,8 @@ class WeightVector:
         if not ent:
             raise ValueError("weight vector must have at least one entry")
         norm = np.sqrt(sum(abs(z) ** 2 for z in ent))
-        if abs(norm - 1.0) > WEIGHT_NORM_TOL:
+        # written so that a NaN norm fails it too
+        if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:
             raise ValueError(f"weight vector norm {norm} differs from 1 by more than {WEIGHT_NORM_TOL}")
 
     @property

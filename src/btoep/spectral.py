@@ -62,7 +62,6 @@ SANDWICH_DENSE_ROWS = 1024
 
 class NormMethod(Enum):
     POWER_ITERATION = "PowerIteration"
-    DENSE_EIG = "DenseEig"
     DENSE_SVD = "DenseSvd"
 
 

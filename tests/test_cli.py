@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from btoep.cli import (
 from btoep.operators import BranchingOperator, toeplitz_dense
 from btoep.spectral import operator_norm
 from btoep.symbols import Symbol
+from btoep.tree import TreeShape
 
 CONST_ONE = '{"coeffs": [[0, 1, 0]]}'
 SKEW = '{"coeffs": [[-1, -0.6, 0], [0, 0.8, 0], [1, 0.6, 0]]}'
@@ -347,3 +352,37 @@ class TestDenseCapSetting:
         assert code == EXIT_INPUT
         assert captured.err.startswith("error:") and "BTOEP_DENSE_CAP" in captured.err
         assert captured.out == ""
+
+
+class TestOversizedInput:
+    """Trees far past a size limit exit 5 at once, decided from (q, n) alone."""
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--q", "3", "--n", "100000000"],
+        ["norm", "--q", "2", "--n", "100000"],
+        ["norm", "--q", "1000000000000", "--n", "1"],
+        ["dpp", "--q", "3", "--n", "100000000", "--samples", "1000"],
+        ["dpp", "--q", "2", "--n", "100000", "--samples", "1000"],
+        ["table", "--q-max", "100000000000", "--n-max", "3"],
+    ])
+    def test_exit_5_without_traceback_or_file(self, argv, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "btoep.cli", *argv, "--symbol", RAISED_COS, "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == EXIT_CAP_EXCEEDED
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_limit_decision_matches_vertex_count(self, capsys):
+        # the depth shortcut must agree with |B_n| x samples > limit wherever both can be formed
+        for limit in (0, 1, 7, 8, 4096, 15000, 2**26):
+            for q in (1, 2, 3, 7):
+                for n in range(0, 32):
+                    for samples in (1, 1000):
+                        over = TreeShape(q, n).vertex_count * samples > limit
+                        code = cli._over_limit(q, n, "test limit", limit, samples)
+                        assert code == (EXIT_CAP_EXCEEDED if over else None)
+        capsys.readouterr()

@@ -37,6 +37,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             BranchingOperator.with_weights([0.5, 0.5], 2, Symbol({0: 1}))
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan)])
+    def test_nan_entry_rejected(self, bad):
+        # a NaN norm compares False with the tolerance either way round
+        with pytest.raises(ValueError):
+            WeightVector((bad, 1.0))
+        with pytest.raises(ValueError):
+            BranchingOperator.with_weights([bad, 1.0], 2, Symbol({0: 1, 1: 0.5}))
+
     def test_weight_vector_accepted(self):
         w = WeightVector((0.6, 0.8j))
         op = BranchingOperator.with_weights(w, 2, Symbol({0: 1}))
