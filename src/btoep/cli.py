@@ -215,7 +215,8 @@ def cmd_table(args) -> int:
     if code := _over_limit(args.q_max, args.n_max, "dense cap", dense_cap()):
         return code
     cells = []
-    for q in range(1, args.q_max + 1):
+    # an empty range of n leaves no row, however large q_max is
+    for q in range(1, args.q_max + 1) if args.n_max >= 1 else ():
         for n in range(1, args.n_max + 1):
             bn = float(singular_values(BranchingOperator.uniform(q, n, args.f))[0])
             tn = float(np.linalg.norm(toeplitz_dense(args.f, n), 2))

@@ -12,7 +12,10 @@ classical damped kernel, and q = 1 gives the ordinary Toeplitz matrix.
 The operator-valued functions run at d = A.dim.
 
 One private engine, _Kernel, produces every entry, product and dense
-matrix for both weight kinds.  apply() never materializes the matrix.
+matrix for both weight kinds.  It decides the uniform fast path from the
+weights themselves: when every A_j is exactly q^(-1/2) I_d the path
+products are the exact q^(-m/2) and apply() broadcasts, whichever
+constructor built the weights.  apply() never materializes the matrix.
 Descendant contributions come from a bottom-up recursion of weighted
 child sums, ancestor contributions from a Horner recursion over the
 parents, S_i(v) = h(i) x[v] + A_j S_{i+1}(parent(v)) for v the j-th child.
@@ -80,10 +83,11 @@ class WeightVector:
     entries: tuple
 
     def __post_init__(self):
-        ent = tuple(complex(z) for z in self.entries)
+        arr = np.asarray(self.entries, dtype=complex)
+        if arr.ndim != 1 or not arr.size:
+            raise ValueError(f"weight vector must be a non-empty vector, got shape {arr.shape}")
+        ent = tuple(arr.tolist())
         object.__setattr__(self, "entries", ent)
-        if not ent:
-            raise ValueError("weight vector must have at least one entry")
         norm = np.sqrt(sum(abs(z) ** 2 for z in ent))
         # written so that a NaN norm fails it too
         if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:
@@ -100,18 +104,21 @@ class WeightVector:
 class _Kernel:
     """The kernel of a symbol and a (q, d, d) weight stack on a truncated tree.
 
-    uniform marks the scalar weight 1/sqrt(q), whose path products entry(),
-    apply() and materialize() take as the exact q^(-m/2).
+    uniform is decided from the stack: it holds exactly when every A_j is
+    q^(-1/2) I_d, bit for bit (for d = 1 the array BranchingOperator.uniform
+    builds), and then entry(), apply() and materialize() take the path
+    products as the exact q^(-m/2).
     """
 
-    def __init__(self, weights: np.ndarray, shape: TreeShape, symbol: Symbol, uniform: bool = False):
-        if weights.shape[0] != shape.q:
-            raise ValueError(f"operator tuple has {weights.shape[0]} matrices but tree arity is {shape.q}")
+    def __init__(self, weights: np.ndarray, shape: TreeShape, symbol: Symbol):
+        q, d = weights.shape[:2]
+        if q != shape.q:
+            raise ValueError(f"{q} weights for a tree of arity {shape.q}")
         weights.flags.writeable = False
         self.weights = weights
         self.shape = shape
         self.symbol = symbol
-        self.uniform = uniform
+        self.uniform = bool((weights == np.eye(d) / np.sqrt(q)).all())
 
     def _path(self, offsets, m: int) -> np.ndarray:
         """Path products A[k_m] ... A[k_1] of the depth-m descents ending at
@@ -208,31 +215,23 @@ class BranchingOperator:
     scratch.
     """
 
-    def __init__(self, weights, shape: TreeShape, symbol: Symbol, *, _uniform=False):
-        if isinstance(weights, WeightVector):
-            weights = weights.entries
-        weights = np.asarray(weights, dtype=complex)
-        if weights.shape != (shape.q,):
-            raise ValueError(f"expected {shape.q} weight entries, got shape {weights.shape}")
-        stack = WeightVector(weights).as_array().reshape(-1, 1, 1)
+    def __init__(self, weights, shape: TreeShape, symbol: Symbol):
+        if not isinstance(weights, WeightVector):
+            weights = WeightVector(weights)
         self.shape = shape
         self.symbol = symbol
-        self.uniform = bool(_uniform)
-        self._kernel = _Kernel(stack, shape, symbol, self.uniform)
+        self._kernel = _Kernel(weights.as_array().reshape(-1, 1, 1), shape, symbol)
+        self.uniform = self._kernel.uniform
 
     @classmethod
     def uniform(cls, q: int, depth: int, symbol: Symbol) -> "BranchingOperator":
-        shape = TreeShape(q, depth)
-        w = np.full(q, 1.0 / np.sqrt(q), dtype=complex)
-        return cls(w, shape, symbol, _uniform=True)
+        return cls(np.full(q, 1.0 / np.sqrt(q)), TreeShape(q, depth), symbol)
 
     @classmethod
     def with_weights(cls, weights, depth: int, symbol: Symbol) -> "BranchingOperator":
-        if isinstance(weights, WeightVector):
-            q = weights.q
-        else:
-            q = len(weights)
-        return cls(weights, TreeShape(q, depth), symbol)
+        if not isinstance(weights, WeightVector):
+            weights = WeightVector(weights)
+        return cls(weights, TreeShape(weights.q, depth), symbol)
 
     @property
     def weights(self) -> np.ndarray:
@@ -244,9 +243,7 @@ class BranchingOperator:
 
     def adjoint(self) -> "BranchingOperator":
         """Operator whose dense matrix is the conjugate transpose of this one."""
-        return BranchingOperator(
-            self.weights, self.shape, conjugate(self.symbol), _uniform=self.uniform
-        )
+        return BranchingOperator(self.weights, self.shape, conjugate(self.symbol))
 
     def entry(self, u: Vertex, v: Vertex) -> complex:
         """Kernel entry at (row u, column v)."""
@@ -293,9 +290,7 @@ def toeplitz_dense(symbol: Symbol, n: int) -> np.ndarray:
 
 def gauge_transform(op: BranchingOperator, t: float) -> BranchingOperator:
     """Conjugate by the diagonal phase e^{-i t |u|}; same as rotating the symbol."""
-    return BranchingOperator(
-        op.weights, op.shape, rotate(op.symbol, t), _uniform=op.uniform
-    )
+    return BranchingOperator(op.weights, op.shape, rotate(op.symbol, t))
 
 
 # -- operator-valued kernels ----------------------------------------------

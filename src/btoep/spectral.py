@@ -100,6 +100,8 @@ def operator_norm(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     n = op.dim
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -122,7 +124,6 @@ def operator_norm(
                 float(np.sqrt(max(lam, 0.0))), it, residual, NormMethod.POWER_ITERATION, streak >= 3
             )
         x = z * (1.0 / znorm)  # the bits of z / znorm, which numpy scales by this reciprocal
-    return SpectralReport(0.0, max_iter, np.inf, NormMethod.POWER_ITERATION, False)
 
 
 def operator_norm_dense(op: BranchingOperator) -> SpectralReport:
@@ -157,18 +158,23 @@ def radial_basis(shape) -> np.ndarray:
     return H
 
 
-def radial_compress(op: BranchingOperator) -> np.ndarray:
-    """Compression to the radial subspace; equals the Toeplitz matrix of the
-    symbol, entry for entry.
+def _radial_images(op: BranchingOperator, what: str):
+    """(H, M H, H^T M H) from n+1 products with M on the radial basis H.
 
-    Only the uniform-weight operator carries this identity, so non-uniform
-    weights are refused.
+    Only the uniform-weight operator carries the radial identities on H,
+    so non-uniform weights are refused.
     """
     if not op.uniform:
-        raise ValueError("radial compression requires uniform weights")
+        raise ValueError(f"{what} requires uniform weights")
     H = radial_basis(op.shape)
-    images = np.stack([op.apply(H[:, l]) for l in range(H.shape[1])], axis=1)
-    return H.T @ images
+    MH = np.stack([op.apply(h) for h in H.T], axis=1)
+    return H, MH, H.T @ MH
+
+
+def radial_compress(op: BranchingOperator) -> np.ndarray:
+    """Compression to the radial subspace; equals the Toeplitz matrix of the
+    symbol, entry for entry.  Non-uniform weights are refused."""
+    return _radial_images(op, "radial compression")[2]
 
 
 @dataclass(frozen=True)
@@ -205,12 +211,8 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     Q M P that radial_blocks measures, here from n+1 products with M and
     n+1 with M^*, must vanish to 1e-12.
     """
-    if not op.uniform:
-        raise ValueError("block decomposition requires uniform weights")
-    H = radial_basis(op.shape)
-    MH = np.stack([op.apply(h) for h in H.T], axis=1)
+    H, MH, R = _radial_images(op, "block decomposition")
     A = np.stack([op.apply_adjoint(h) for h in H.T]).conj()  # H^T M
-    R = H.T @ MH
     # column k of H holds the single value q^(-k/2), so the largest entry
     # of H X is max_k q^(-k/2) max|X[k]| and that of Y H^T is read likewise
     c = H.max(axis=0)

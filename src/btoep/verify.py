@@ -199,10 +199,10 @@ def run_weighted_equivalence(seed=4, trials=10, fuzz=False) -> SuiteResult:
     tol = 1e-9
     worst = 0.0
     for q, n, f, op in _cases(rng, trials, range(1, 5)):
-        s_uniform = singular_values(op)
+        s_blocks = singular_values(op)
         weighted = BranchingOperator.with_weights(random_unit_weights(rng, q), n, f)
         s_weighted = np.linalg.svd(_maybe_fuzz(weighted.materialize(), fuzz), compute_uv=False)
-        worst = max(worst, float(np.abs(np.sort(s_uniform) - np.sort(s_weighted)).max()))
+        worst = max(worst, float(np.abs(np.sort(s_blocks) - np.sort(s_weighted)).max()))
     return SuiteResult("weighted_equivalence", worst <= tol, worst, tol)
 
 

@@ -309,6 +309,22 @@ class TestTable:
         assert data["columns"] == ["q", "n", "branching_norm", "toeplitz_norm", "gap"]
         assert len(data["rows"]) == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_depth_prints_an_empty_grid_at_once(self, fmt, tmp_path):
+        # n_max = 0 leaves no row, so q_max is never walked
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "btoep.cli", "table", "--symbol", CONST_ONE,
+             "--q-max", "100000000000", "--n-max", "0", "--format", fmt],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == EXIT_OK
+        if fmt == "csv":
+            assert proc.stdout == "q,n,branching_norm,toeplitz_norm,gap\n"
+        else:
+            assert json.loads(proc.stdout)["rows"] == []
+
 
 class TestBadArguments:
     @pytest.mark.parametrize("argv", [

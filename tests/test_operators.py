@@ -17,6 +17,7 @@ from btoep.operators import (
     toeplitz_dense,
     _Kernel,
 )
+from btoep.spectral import block_norms, radial_compress
 from btoep.symbols import Symbol
 from btoep.tree import Relation, TreeShape, Vertex, comparability, vertex_from_index
 
@@ -54,6 +55,48 @@ class TestWeights:
         op = BranchingOperator.uniform(4, 2, Symbol({0: 1}))
         assert np.allclose(op.weights, 0.5)
         assert op.uniform
+
+
+class TestUniformFlag:
+    """The uniform fast path follows from the weights, whichever constructor
+    built them."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 8])
+    def test_exact_uniform_vector_is_uniform(self, q):
+        n = 3 if q < 8 else 2
+        f = random_symbol(np.random.default_rng(q), 2)
+        op = BranchingOperator.with_weights(np.full(q, 1 / np.sqrt(q)), n, f)
+        ref = BranchingOperator.uniform(q, n, f)
+        assert op.uniform
+        for i in range(op.dim):
+            for j in range(op.dim):
+                u, v = vertex_from_index(i, op.shape), vertex_from_index(j, op.shape)
+                assert np.array_equal(op.entry(u, v), ref.entry(u, v))
+        assert np.array_equal(op.materialize(), ref.materialize())
+        rng = np.random.default_rng(100 + q)
+        x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        assert np.array_equal(op.apply(x), ref.apply(x))
+        assert np.array_equal(radial_compress(op), radial_compress(ref))
+        assert block_norms(op) == block_norms(ref)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_adjoint_and_gauge_keep_the_flag(self, q):
+        rng = np.random.default_rng(30 + q)
+        f = random_symbol(rng, 2)
+        for op, uniform in (
+            (BranchingOperator.uniform(q, 3, f), True),
+            (BranchingOperator.with_weights(random_weights(rng, q), 3, f), False),
+        ):
+            assert op.uniform is uniform
+            assert op.adjoint().uniform is uniform
+            assert gauge_transform(op, 0.7).uniform is uniform
+
+    def test_uniform_operator_tuple_is_kron_of_scalar(self):
+        q, n, d = 2, 3, 2
+        f = random_symbol(np.random.default_rng(40), 2)
+        A = OperatorTuple(np.stack([np.eye(d) / np.sqrt(q)] * q))
+        expected = np.kron(BranchingOperator.uniform(q, n, f).materialize(), np.eye(d))
+        assert np.array_equal(op_valued_materialize(A, f, TreeShape(q, n)), expected)
 
 
 class TestEntry:

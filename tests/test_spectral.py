@@ -76,6 +76,12 @@ class TestOperatorNorm:
         with pytest.raises(ValueError, match="finite and positive"):
             operator_norm(op, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        op = BranchingOperator.uniform(2, 3, Symbol({0: 1}))
+        with pytest.raises(ValueError, match="max_iter"):
+            operator_norm(op, max_iter=max_iter)
+
     def test_report_json_keys(self):
         op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
         data = json.loads(operator_norm(op).to_json())
