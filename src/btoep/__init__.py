@@ -12,6 +12,7 @@ from .dpp import (
     build_kernel,
     sample,
     sample_chain,
+    sample_chains,
     sample_many,
     sample_seeds,
     sssp_diagnostics,

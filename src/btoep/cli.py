@@ -4,9 +4,11 @@ Subcommands:
   norm    power-iteration operator norm of the uniform-weight operator
   verify  run the structural identity suites, JSON line per suite
   dpp     sample the induced determinantal point process + diagnostics;
-          the draws come from the chain-rule sampler dpp.sample_chain, the
-          seed of each from dpp.sample_seeds, and the diagnostics from
-          dpp.sssp_statistics of those draws
+          the draws come from the batched chain-rule sampler
+          dpp.sample_chains, the seed of each from dpp.sample_seeds, and
+          the diagnostics from dpp.sssp_statistics of those draws; the
+          kernel's spectrum comes from its Toeplitz blocks, so no dense
+          matrix is built
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
@@ -14,10 +16,10 @@ a negative --seed, an unreadable --symbol-file and an --out that cannot
 be written included), 2 norm non-convergence, 3 verification failure,
 4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
 of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
-or the dense cap on the largest tree (q_max, n_max) of table, each decided
-from (q, n) before anything is built; table builds no dense matrix but
-still refuses such a grid.  verify and dpp exit 5 too when a dense matrix
-they build would be over the cap.
+the dense cap on the tree of dpp or on the largest tree (q_max, n_max) of
+table, each decided from (q, n) before anything is built; dpp and table
+build no dense matrix but still refuse such trees.  verify exits 5 too
+when a dense matrix it builds would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical; files are written in one shot after all computation
 succeeds, never partially.
@@ -192,15 +194,16 @@ def cmd_dpp(args) -> int:
         return _fail("invalid numeric parameters (need samples >= 1000)", EXIT_INPUT)
     if code := _over_limit(args.q, args.n, "dpp limit", MAX_DPP_VERTEX_SAMPLES, args.samples):
         return code
+    # no dense matrix is built, but trees over the dense cap stay refused
+    if code := _over_limit(args.q, args.n, "dense cap", dense_cap()):
+        return code
     try:
-        # the [0, 1] check, the eigenvalues of the cardinality rows and
-        # the dense cap; the chain sampler itself reads only the symbol
+        # the [0, 1] check and the eigenvalues of the cardinality rows, both
+        # from the Toeplitz blocks; the chain sampler reads only the symbol
         kernel = dpp_mod.build_kernel(args.f, args.q, args.n)
-    except DenseCapError:
-        raise  # exit 5, mapped in main
     except ValueError as exc:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
-    draws = [dpp_mod.sample_chain(kernel, s) for s in dpp_mod.sample_seeds(args.samples, args.seed)]
+    draws = dpp_mod.sample_chains(kernel, dpp_mod.sample_seeds(args.samples, args.seed))
     report = dpp_mod.sssp_statistics(kernel, draws)
     Path(args.out + ".samples.jsonl").write_text(dpp_mod.samples_to_jsonl(report.draws))
     Path(args.out + ".diagnostics.csv").write_text(report.to_csv())
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
         if not os.path.isdir(out_dir):
             raise ValueError(f"--out directory {out_dir!r} does not exist")
         if handler is not cmd_norm:
-            # every other subcommand builds dense matrices under the cap
+            # every other subcommand keeps its trees under the dense cap
             dense_cap()
         if handler is not cmd_verify:
             args.f = _load_symbol(args)

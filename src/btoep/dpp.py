@@ -13,18 +13,30 @@ Two exact samplers draw from the same law; a run of either is fully
 determined by its seed.
 
 sample_chain is the chain-rule sampler (Poulson 2019, arXiv:1905.00165;
-Launay, Galerne & Desolneux 2018, arXiv:1802.08429) and the one `btoep
-dpp` uses.  It visits the vertices one by one, takes v with probability
-p = K[v, v] of the current kernel and conditions on the outcome by the
-Schur update K <- K - K[:, v] K[v, :] / (p - [v not taken]).  Visited
-leaf generation first, v is joined only to its ancestors at most
+Launay, Galerne & Desolneux 2018, arXiv:1802.08429) and sample_chains,
+which `btoep dpp` uses, runs it for many seeds at once.  It visits the
+vertices one by one, takes v with probability p = K[v, v] of the current
+kernel and conditions on the outcome by the Schur update
+K <- K - K[:, v] K[v, :] / (p - [v not taken]).  Visited leaf
+generation first, v is joined only to its ancestors at most
 r = min(n, support radius) generations up, so the update touches only
 entries among those ancestors, which are nonzero already: there is no
 fill.  Siblings stay uncoupled, so one rng.random(q^g) decides all of
 generation g, and the updates reach the ancestors by sums over
 contiguous groups of q^d vertices.  The state is the diagonal and the
 band K[v, anc_d(v)], d = 1..r, built from the symbol alone: O(N r^2) per
-sample with no dense matrix and no eigenvectors.
+sample with no dense matrix and no eigenvectors.  sample_chains gives
+the state a leading sample axis and runs the generation recursion once
+per chunk of about CHAIN_CHUNK_BYTES of state; each sample still takes
+its uniforms from its own default_rng(seed), in the order one draw asks
+for them, so draw t is sample_chain(kernel, seeds[t]) point for point.
+sample_chain runs the same recursion on one sample, with one
+rng.random(q^g) per generation.
+
+build_kernel needs no dense step either: the kernel is unitarily the
+direct sum of the Toeplitz blocks T_k of the spectral module, so its
+eigenvalues, which the [0, 1] check and the cardinality rows read, are
+those of each (k+1) x (k+1) block repeated by its multiplicity.
 
 sample and sample_many are the spectral sampler (Hough, Krishnapur,
 Peres & Virag 2006; Kulesza & Taskar 2012, Alg. 1): select eigenvectors
@@ -35,8 +47,10 @@ of span{conj(V[s])} kept by Gram-Schmidt (Tremblay, Barthelme & Amblard
 2018), so the next point is drawn with probability proportional to
 |V[i]|^2 - |(V E)[i]|^2.  Each point adds one column to E and costs one
 O(N k) read-only product V @ e; V is never written.  A sample of k points
-on N vertices costs O(N k^2) after the O(N^3) eigendecomposition of
-build_kernel.  sssp_diagnostics draws with it.  The chain sampler is
+on N vertices costs O(N k^2).  The dense eigenbasis V is the one dense
+step left: the O(N^3) eigendecomposition of the materialized kernel,
+made on the first spectral draw, at most once per kernel and under the
+dense cap.  sssp_diagnostics draws with it.  The chain sampler is
 checked against the exact law |det(K - I_{S^c})| of the dense kernel and
 against the Poisson-binomial law of its eigenvalues for |S|, not against
 the spectral sampler.
@@ -47,11 +61,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
-from .operators import BranchingOperator
+from .operators import BranchingOperator, toeplitz_dense
+from .spectral import _blocks
 from .symbols import Symbol, SymbolClass, classify
 from .tree import TreeShape
 
@@ -62,6 +78,7 @@ __all__ = [
     "build_kernel",
     "sample",
     "sample_chain",
+    "sample_chains",
     "sample_many",
     "sample_seeds",
     "sssp_diagnostics",
@@ -70,17 +87,23 @@ __all__ = [
 ]
 
 EIG_CLAMP = 1e-8
+# bytes of sampler state per chunk of sample_chains draws: half a 2 MiB L2
+# cache, which the temporaries of one generation's update fill up
+CHAIN_CHUNK_BYTES = 2**20
 # family-wise false-alarm level of the ray-invariance row
 RAY_LEVEL = 1e-3
 
 
 @dataclass(frozen=True)
 class DppKernel:
-    """Eigendecomposed Hermitian PSD contraction on the truncated tree."""
+    """Hermitian PSD contraction on the truncated tree.
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # clamped to [0, 1]
-    eigenvectors: np.ndarray  # columns
+    The spectrum comes from the Toeplitz blocks; the dense matrix and its
+    eigenbasis are computed on first use, at most once per kernel, and
+    raise DenseCapError over the dense cap.
+    """
+
+    eigenvalues: np.ndarray  # ascending, clamped to [0, 1]
     shape: TreeShape
     symbol: Symbol
 
@@ -92,6 +115,15 @@ class DppKernel:
     def expected_points(self) -> float:
         return float(self.eigenvalues.sum())
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return BranchingOperator.uniform(self.shape.q, self.shape.depth, self.symbol).materialize()
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns, in the ascending order of eigenvalues."""
+        return np.linalg.eigh(self.matrix)[1]
+
 
 @dataclass(frozen=True)
 class DppSample:
@@ -100,24 +132,29 @@ class DppSample:
 
 
 def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
-    """Eigendecomposed kernel of the uniform-weight operator of f.
+    """Kernel of the uniform-weight operator of f, with its spectrum.
 
     The symbol must be Hermitian and must truncate to a PSD contraction:
     eigenvalues may stray from [0, 1] by at most 1e-8 (floating point
-    drift) and are clamped; anything worse is rejected.
+    drift) and are clamped; anything worse is rejected.  The kernel is
+    unitarily the direct sum of the Toeplitz blocks T_k, so its
+    eigenvalues are those of each T_k repeated by its multiplicity: O(n^4)
+    work on the blocks and a sort of the N eigenvalues, no dense matrix.
     """
     if SymbolClass.HERMITIAN not in classify(f):
         raise ValueError("DPP kernel requires a Hermitian symbol")
-    op = BranchingOperator.uniform(q, n, f)
-    # classify demands h(-m) == conj(h(m)) exactly, so M == M^* bit for bit
-    M = op.materialize()
-    eigvals, eigvecs = np.linalg.eigh(M)
-    if eigvals.min() < -EIG_CLAMP or eigvals.max() > 1 + EIG_CLAMP:
+    shape = TreeShape(q, n)
+    # classify demands h(-m) == conj(h(m)) exactly, so each T_k, like the
+    # dense kernel, is Hermitian bit for bit
+    eigvals = np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(toeplitz_dense(f, k)), mult) for k, mult in _blocks(shape)
+    ]))
+    if eigvals[0] < -EIG_CLAMP or eigvals[-1] > 1 + EIG_CLAMP:
         raise ValueError(
-            f"eigenvalues [{eigvals.min():.3e}, {eigvals.max():.3e}] leave [0, 1] "
+            f"eigenvalues [{eigvals[0]:.3e}, {eigvals[-1]:.3e}] leave [0, 1] "
             f"by more than {EIG_CLAMP}; symbol does not define a [0, 1] kernel"
         )
-    return DppKernel(M, np.clip(eigvals, 0.0, 1.0), eigvecs, op.shape, f)
+    return DppKernel(np.clip(eigvals, 0.0, 1.0), shape, f)
 
 
 def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
@@ -162,38 +199,76 @@ def sample_many(kernel: DppKernel, n_samples: int, seed: int):
     return [sample(kernel, s) for s in sample_seeds(n_samples, seed)]
 
 
-def _chain_with_rng(kernel: DppKernel, rng) -> list:
+def _chains(kernel: DppKernel, samples: int, uniforms) -> np.ndarray:
+    """Occupancy (samples, N) of chain draws run side by side.
+
+    uniforms(lo, hi) gives the uniforms of vertices lo..hi-1, one
+    generation, one row per sample (or one row for all of them).
+    """
     shape, f = kernel.shape, kernel.symbol
-    q, n, starts = shape.q, shape.depth, shape.generation_starts
+    q, n, N, starts = shape.q, shape.depth, shape.vertex_count, shape.generation_starts
     r = min(n, f.support_radius)
     # band[d - 1] = K[v, anc_d(v)] of the unconditioned kernel
     band = np.array([f.coeff(d) * q ** (-d / 2) for d in range(1, r + 1)])
     if not band.imag.any():
         band = band.real
-    diag = np.full(shape.vertex_count, f.coeff(0).real)
-    L = np.zeros((shape.vertex_count, r), dtype=band.dtype)
+    diag = np.full((samples, N), f.coeff(0).real)
+    L = np.zeros((samples, N, r), dtype=band.dtype)
     for d in range(1, r + 1):
-        L[starts[d] :, d - 1] = band[d - 1]
-    occupied = np.zeros(shape.vertex_count, dtype=bool)
+        L[:, starts[d] :, d - 1] = band[d - 1]
+    occupied = np.zeros((samples, N), dtype=bool)
     for g in range(n, -1, -1):
         lo, hi = starts[g], starts[g + 1]
         # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
         # rounding outside [0, 1] needs no clamp and no pivot is 0
-        p = diag[lo:hi]
-        taken = occupied[lo:hi] = rng.random(hi - lo) < p
+        p = diag[:, lo:hi]
+        taken = occupied[:, lo:hi] = uniforms(lo, hi) < p
         rg = min(r, g)
         if not rg:
             continue
-        Lg = L[lo:hi, :rg]
-        scaled = Lg.conj() / (p - ~taken)[:, None]
+        Lg = L[:, lo:hi, :rg]
+        scaled = Lg.conj() / (p - ~taken)[..., None]
         for d in range(1, rg + 1):
             # K[anc_d, anc_e] -= conj(L[v, d]) L[v, e] / (p - [v not taken])
             # for e = d..rg, summed over the q^d vertices below anc_d
             a, m = starts[g - d], (hi - lo) // q**d
-            upd = (scaled[:, d - 1, None] * Lg[:, d - 1 :]).reshape(m, -1, rg - d + 1).sum(axis=1)
-            diag[a : a + m] -= upd[:, 0].real
-            L[a : a + m, : rg - d] -= upd[:, 1:]
+            upd = (scaled[..., d - 1, None] * Lg[..., d - 1 :]).reshape(samples, m, -1, rg - d + 1).sum(axis=2)
+            diag[:, a : a + m] -= upd[..., 0].real
+            L[:, a : a + m, : rg - d] -= upd[..., 1:]
+    return occupied
+
+
+def _chain_with_rng(kernel: DppKernel, rng) -> list:
+    occupied = _chains(kernel, 1, lambda lo, hi: rng.random(hi - lo))
     return np.flatnonzero(occupied).tolist()
+
+
+def _chain_bytes(kernel: DppKernel) -> int:
+    """Sampler state of one chain draw: per vertex a uniform and a
+    diagonal entry, an occupancy byte and a band of r complex entries."""
+    r = min(kernel.shape.depth, kernel.symbol.support_radius)
+    return kernel.shape.vertex_count * (17 + 16 * r)
+
+
+def sample_chains(kernel: DppKernel, seeds) -> list:
+    """Chain-rule draws of the point process with kernel K, one per seed.
+
+    Draw t equals sample_chain(kernel, seeds[t]).  The draws run side by
+    side in chunks of about CHAIN_CHUNK_BYTES of sampler state.
+    """
+    N = kernel.shape.vertex_count
+    chunk = max(1, CHAIN_CHUNK_BYTES // _chain_bytes(kernel))
+    draws = []
+    for i in range(0, len(seeds), chunk):
+        part = seeds[i : i + chunk]
+        # generation n first, then n - 1, ..., as one rng.random(q^g) each
+        # would give them: vertices lo..hi-1 take U[:, N - hi : N - lo]
+        U = np.empty((len(part), N))
+        for row, s in zip(U, part):
+            np.random.default_rng(s).random(out=row)
+        occupied = _chains(kernel, len(part), lambda lo, hi: U[:, N - hi : N - lo])
+        draws += [DppSample(tuple(np.flatnonzero(row).tolist()), s) for row, s in zip(occupied, part)]
+    return draws
 
 
 def sample_chain(kernel: DppKernel, seed: int) -> DppSample:

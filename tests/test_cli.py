@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from btoep import cli, dpp
+from btoep import cli, dpp, operators
 from btoep.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT,
@@ -194,10 +194,18 @@ class TestDpp:
         assert not (tmp_path / "bad.diagnostics.csv").exists()
 
     def test_draws_each_sample_once(self, tmp_path, capsys, monkeypatch):
-        # once per sample through the chain sampler, never the spectral one
-        draws = []
-        sample_chain = dpp.sample_chain
-        monkeypatch.setattr(dpp, "sample_chain", lambda k, s: draws.append(sample_chain(k, s)) or draws[-1])
+        # once per sample, in seed order, through the batched chain sampler,
+        # never the spectral one
+        seeds, draws = [], []
+        sample_chains = dpp.sample_chains
+
+        def record(kernel, part):
+            seeds.extend(part)
+            got = sample_chains(kernel, part)
+            draws.extend(got)
+            return got
+
+        monkeypatch.setattr(dpp, "sample_chains", record)
         monkeypatch.setattr(dpp, "sample", lambda k, s: pytest.fail("btoep dpp called dpp.sample"))
         out = tmp_path / "run"
         code = main(
@@ -206,11 +214,23 @@ class TestDpp:
         )
         capsys.readouterr()
         assert code == EXIT_OK
-        assert [s.rng_seed for s in draws] == dpp.sample_seeds(1000, 11)
+        assert seeds == [s.rng_seed for s in draws] == dpp.sample_seeds(1000, 11)
         monkeypatch.undo()
         kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
         expected = dpp.sssp_statistics(kernel, draws).to_csv()
         assert (tmp_path / "run.diagnostics.csv").read_text() == expected
+
+    @pytest.mark.parametrize("q, n, f", [(2, 6, RAISED_COS), (3, 4, TWO_RADIUS)])
+    def test_no_dense_step(self, q, n, f, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("btoep dpp ran a dense step")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(operators._Kernel, "materialize", refuse)
+        code = main(["dpp", "--symbol", f, "--q", str(q), "--n", str(n),
+                     "--samples", "1000", "--out", str(tmp_path / "run")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("q, n", [(1, 5), (2, 0)])
     def test_no_incomparable_pairs_without_warnings(self, q, n, tmp_path, capsys):
@@ -247,7 +267,7 @@ class TestDpp:
         def refuse(*args):
             raise AssertionError("an oversized run reached the sampler")
 
-        for name in ("build_kernel", "sample_seeds", "sample_chain", "sample"):
+        for name in ("build_kernel", "sample_seeds", "sample_chain", "sample_chains", "sample"):
             monkeypatch.setattr(dpp, name, refuse)
         code = main(["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "3",
                      "--samples", "1000000000000", "--out", str(tmp_path / "big")])

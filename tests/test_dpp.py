@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from btoep import dpp
+from btoep import dpp, operators
 from btoep.dpp import (
     DppSample,
     build_kernel,
@@ -19,6 +19,7 @@ from btoep.dpp import (
     sssp_diagnostics,
     sssp_statistics,
 )
+from btoep.operators import DenseCapError
 from btoep.symbols import Symbol
 from btoep.tree import Relation, TreeShape, ancestor, comparability, linear_index, vertex_from_index
 
@@ -535,6 +536,90 @@ class TestSampleChain:
             assert abs(len(points) / N - 0.5) <= 5 * 0.5 / np.sqrt(N)
 
 
+class TestSampleChains:
+    """The batched chain sampler draws, seed for seed, what sample_chain
+    draws, however the seeds fall into chunks."""
+
+    @pytest.mark.parametrize(
+        "q, n, f", [(2, 5, RAISED_COS), (2, 6, RAISED_COS), (3, 4, RADIUS3), (1, 9, RADIUS3), (2, 0, RADIUS3)]
+    )
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_equals_single_draws(self, q, n, f, chunk, monkeypatch):
+        kernel = build_kernel(f, q, n)
+        seeds = dpp.sample_seeds(1000, 100 * q + n)
+        single = [dpp.sample_chain(kernel, s) for s in seeds]
+        sizes = []
+        chains = dpp._chains
+        monkeypatch.setattr(dpp, "_chains", lambda k, m, u: sizes.append(m) or chains(k, m, u))
+        if chunk:
+            # 142 chunks of 7 draws and a last one of 6
+            monkeypatch.setattr(dpp, "CHAIN_CHUNK_BYTES", chunk * dpp._chain_bytes(kernel))
+        assert dpp.sample_chains(kernel, seeds) == single
+        assert sum(sizes) == 1000
+        if chunk:
+            assert sizes == [7] * 142 + [6]
+
+    def test_large_tree_shares_chunks(self, monkeypatch):
+        # N = 131,071, far over the dense cap; two draws share a chunk
+        bare = SimpleNamespace(shape=TreeShape(2, 16), symbol=RAISED_COS)
+        monkeypatch.setattr(dpp, "CHAIN_CHUNK_BYTES", 2 * dpp._chain_bytes(bare))
+        seeds = [5, 6, 7]
+        assert dpp.sample_chains(bare, seeds) == [dpp.sample_chain(bare, s) for s in seeds]
+
+    def test_no_seeds(self):
+        assert dpp.sample_chains(build_kernel(RAISED_COS, 2, 3), []) == []
+
+
+HERMITIAN_SYMBOLS = [RAISED_COS, COMPLEX_HERM, RADIUS2, RADIUS3, Symbol({0: 0.5}), Symbol({}), Symbol({0: 1})]
+
+
+class TestKernelSpectrum:
+    """build_kernel takes the spectrum from the Toeplitz blocks; the dense
+    matrix and its eigenbasis are built only when read."""
+
+    @pytest.mark.parametrize("f", HERMITIAN_SYMBOLS)
+    @pytest.mark.parametrize("q, depths", [(1, [*range(10), 63]), (2, range(9)), (3, range(6))])
+    def test_eigenvalues_match_dense(self, f, q, depths):
+        for n in depths:
+            kernel = build_kernel(f, q, n)
+            dense = np.clip(np.linalg.eigh(kernel.matrix)[0], 0.0, 1.0)
+            assert kernel.eigenvalues.shape == dense.shape
+            assert np.abs(kernel.eigenvalues - dense).max() <= 1e-12
+
+    def test_no_dense_step(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense step ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(operators._Kernel, "materialize", refuse)
+        kernel = build_kernel(RADIUS3, 3, 4)
+        assert kernel.dim == kernel.eigenvalues.size == 121
+        assert np.all(np.diff(kernel.eigenvalues) >= 0)
+        for f in (Symbol({-1: 1, 1: 1}), Symbol({1: 0.5})):
+            with pytest.raises(ValueError, match="eigenvalue|Hermitian"):
+                build_kernel(f, 2, 3)
+
+    def test_dense_cap(self):
+        # N = 8191: the spectrum is there, the dense matrix is over the cap
+        kernel = build_kernel(RAISED_COS, 2, 12)
+        assert kernel.eigenvalues.size == 8191
+        assert abs(kernel.expected_points - 8191 * 0.5) <= 1e-9
+        with pytest.raises(DenseCapError):
+            kernel.matrix
+        with pytest.raises(DenseCapError):
+            kernel.eigenvectors
+
+    def test_dense_basis_once_per_kernel(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        kernel = build_kernel(COMPLEX_HERM, 2, 3)
+        assert calls == []
+        sample_many(kernel, 5, seed=1)
+        assert calls == [(15, 15)]
+        assert kernel.matrix is kernel.matrix
+
+
 def test_sample_many_unchanged():
     """The spectral sampler's draws stay those of earlier releases."""
     draws = sample_many(build_kernel(COMPLEX_HERM, 2, 3), 4, seed=2026)
@@ -586,7 +671,7 @@ class TestRayInvariance:
         seeds, level = range(200), dpp.RAY_LEVEL
         alarms = 0
         for seed in seeds:
-            draws = [dpp.sample_chain(kernel, s) for s in dpp.sample_seeds(1000, seed)]
+            draws = dpp.sample_chains(kernel, dpp.sample_seeds(1000, seed))
             z, critical = dpp.sssp_statistics(kernel, draws).ray_invariance
             alarms += z > critical
         assert alarms <= len(seeds) * level + 3 * np.sqrt(len(seeds) * level * (1 - level))
