@@ -21,17 +21,16 @@ K <- K - K[:, v] K[v, :] / (p - [v not taken]).  Visited leaf
 generation first, v is joined only to its ancestors at most
 r = min(n, support radius) generations up, so the update touches only
 entries among those ancestors, which are nonzero already: there is no
-fill.  Siblings stay uncoupled, so one rng.random(q^g) decides all of
-generation g, and the updates reach the ancestors by sums over
+fill.  Siblings stay uncoupled, so one row of q^g uniforms decides all
+of generation g, and the updates reach the ancestors by sums over
 contiguous groups of q^d vertices.  The state is the diagonal and the
 band K[v, anc_d(v)], d = 1..r, built from the symbol alone: O(N r^2) per
 sample with no dense matrix and no eigenvectors.  sample_chains gives
 the state a leading sample axis and runs the generation recursion once
-per chunk of about CHAIN_CHUNK_BYTES of state; each sample still takes
-its uniforms from its own default_rng(seed), in the order one draw asks
-for them, so draw t is sample_chain(kernel, seeds[t]) point for point.
-sample_chain runs the same recursion on one sample, with one
-rng.random(q^g) per generation.
+per chunk of about CHAIN_CHUNK_BYTES of state.  Each sample takes its N
+uniforms from one random(N) of its own default_rng(seed), the deepest
+generation first, so draw t depends on seeds[t] alone and not on the
+chunk it falls in; sample_chain is sample_chains on a single seed.
 
 build_kernel needs no dense step either: the kernel is unitarily the
 direct sum of the Toeplitz blocks T_k of the spectral module, so its
@@ -66,8 +65,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .operators import BranchingOperator, toeplitz_dense
-from .spectral import _blocks
+from .operators import BranchingOperator
+from .spectral import _block_spectrum
 from .symbols import Symbol, SymbolClass, classify
 from .tree import TreeShape
 
@@ -146,9 +145,7 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
     shape = TreeShape(q, n)
     # classify demands h(-m) == conj(h(m)) exactly, so each T_k, like the
     # dense kernel, is Hermitian bit for bit
-    eigvals = np.sort(np.concatenate([
-        np.repeat(np.linalg.eigvalsh(toeplitz_dense(f, k)), mult) for k, mult in _blocks(shape)
-    ]))
+    eigvals = np.sort(_block_spectrum(f, shape, np.linalg.eigvalsh))
     if eigvals[0] < -EIG_CLAMP or eigvals[-1] > 1 + EIG_CLAMP:
         raise ValueError(
             f"eigenvalues [{eigvals[0]:.3e}, {eigvals[-1]:.3e}] leave [0, 1] "
@@ -238,11 +235,6 @@ def _chains(kernel: DppKernel, samples: int, uniforms) -> np.ndarray:
     return occupied
 
 
-def _chain_with_rng(kernel: DppKernel, rng) -> list:
-    occupied = _chains(kernel, 1, lambda lo, hi: rng.random(hi - lo))
-    return np.flatnonzero(occupied).tolist()
-
-
 def _chain_bytes(kernel: DppKernel) -> int:
     """Sampler state of one chain draw: per vertex a uniform and a
     diagonal entry, an occupancy byte and a band of r complex entries."""
@@ -253,16 +245,16 @@ def _chain_bytes(kernel: DppKernel) -> int:
 def sample_chains(kernel: DppKernel, seeds) -> list:
     """Chain-rule draws of the point process with kernel K, one per seed.
 
-    Draw t equals sample_chain(kernel, seeds[t]).  The draws run side by
-    side in chunks of about CHAIN_CHUNK_BYTES of sampler state.
+    Draw t depends on seeds[t] alone.  The draws run side by side in
+    chunks of about CHAIN_CHUNK_BYTES of sampler state.
     """
     N = kernel.shape.vertex_count
     chunk = max(1, CHAIN_CHUNK_BYTES // _chain_bytes(kernel))
     draws = []
     for i in range(0, len(seeds), chunk):
         part = seeds[i : i + chunk]
-        # generation n first, then n - 1, ..., as one rng.random(q^g) each
-        # would give them: vertices lo..hi-1 take U[:, N - hi : N - lo]
+        # one random(N) per draw, generation n first, then n - 1, ...:
+        # vertices lo..hi-1 take U[:, N - hi : N - lo]
         U = np.empty((len(part), N))
         for row, s in zip(U, part):
             np.random.default_rng(s).random(out=row)
@@ -277,8 +269,7 @@ def sample_chain(kernel: DppKernel, seed: int) -> DppSample:
     Reads only kernel.shape and kernel.symbol.  Same law as sample, but a
     different use of the seed, so the two give different points.
     """
-    rng = np.random.default_rng(seed)
-    return DppSample(tuple(_chain_with_rng(kernel, rng)), seed)
+    return sample_chains(kernel, [seed])[0]
 
 
 def samples_to_jsonl(samples) -> str:
@@ -314,32 +305,26 @@ class SsspReport:
     one_point: dict
     ray_pair_corr: dict
     incomparable_pair_corr: tuple
-    across_ray_spread: dict = field(default_factory=dict)
-    cardinality: tuple = (0.0, 0.0, 0.0)
-    cardinality_var: tuple = (0.0, 0.0, 0.0)
-    ray_invariance: tuple = (0.0, 0.0)
-    draws: list = field(default_factory=list, repr=False, compare=False)
+    across_ray_spread: dict
+    cardinality: tuple
+    cardinality_var: tuple
+    ray_invariance: tuple
+    draws: list = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
-        rows = ["statistic,analytic,empirical,stderr"]
-        for g in sorted(self.one_point):
-            a, e, s = self.one_point[g]
-            rows.append(f"one_point_gen{g},{a!r},{e!r},{s!r}")
-        for d in sorted(self.ray_pair_corr):
-            a, e, s = self.ray_pair_corr[d]
-            rows.append(f"comparable_pair_d{d},{a!r},{e!r},{s!r}")
-        a, e, s = self.incomparable_pair_corr
-        rows.append(f"incomparable_pair,{a!r},{e!r},{s!r}")
-        a, e, s = self.cardinality
-        rows.append(f"cardinality_mean,{a!r},{e!r},{s!r}")
-        a, e, s = self.cardinality_var
-        rows.append(f"cardinality_var,{a!r},{e!r},{s!r}")
-        for d in sorted(self.across_ray_spread):
-            spread, allow = self.across_ray_spread[d]
-            rows.append(f"across_ray_spread_d{d},0.0,{spread!r},{allow!r}")
-        z, critical = self.ray_invariance
-        rows.append(f"ray_invariance_max_abs_z,0.0,{z!r},{critical!r}")
-        return "\n".join(rows) + "\n"
+        # the spread and ray-invariance rows write 0.0 as their analytic value
+        rows = [
+            *((f"one_point_gen{g}", v) for g, v in sorted(self.one_point.items())),
+            *((f"comparable_pair_d{d}", v) for d, v in sorted(self.ray_pair_corr.items())),
+            ("incomparable_pair", self.incomparable_pair_corr),
+            ("cardinality_mean", self.cardinality),
+            ("cardinality_var", self.cardinality_var),
+            *((f"across_ray_spread_d{d}", (0.0, *v)) for d, v in sorted(self.across_ray_spread.items())),
+            ("ray_invariance_max_abs_z", (0.0, *self.ray_invariance)),
+        ]
+        return "statistic,analytic,empirical,stderr\n" + "".join(
+            f"{name},{a!r},{e!r},{s!r}\n" for name, (a, e, s) in rows
+        )
 
 
 def _occupancy(samples, dim: int) -> np.ndarray:
@@ -393,26 +378,25 @@ def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
         one_point[g] = (f0, *_mean_se(X[starts[g] : starts[g + 1]].mean(axis=0)))
 
     # comparable pairs at distance d: each vertex v of generation >= d with
-    # its depth-d ancestor, in row v - starts[d] of pair.  Row l of rays
-    # runs from the root to leaf l, so the pairs along that ray, which the
+    # its ancestor anc[v] d generations up, in row v - starts[d] of pair;
+    # in level order the parent of v is (v - 1) // q.  Row l of rays runs
+    # from the root to leaf l, so the pairs along that ray, which the
     # ray-invariance checks pool, are the rows rays[l, d:] - starts[d].
     # Every other pair is incomparable.
-    gen_of = np.repeat(np.arange(n + 1), np.diff(starts))
-    offs = np.arange(N) - starts[gen_of]
+    anc = np.arange(N)
     rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
     max_z = _max_abs_z(*_mean_se(X[rays].sum(axis=1) / (n + 1)), f0)
     ray_pair, spread = {}, {}
     comparable = np.zeros(samples, dtype=int)
     incomparable_pairs = N * (N - 1) // 2
     for d in range(1, n + 1):
-        u = np.arange(starts[d], N)
-        anc = starts[gen_of[u] - d] + offs[u] // q**d
-        pair = X[u] & X[anc]
+        anc = (anc - 1) // q
+        pair = X[starts[d] :] & X[anc[starts[d] :]]
         count = pair.sum(axis=0)
         comparable += count
-        incomparable_pairs -= u.size
+        incomparable_pairs -= N - starts[d]
         analytic = f0**2 - q ** (-d) * abs(kernel.symbol.coeff(d)) ** 2
-        ray_pair[d] = (analytic, *_mean_se(count / u.size))
+        ray_pair[d] = (analytic, *_mean_se(count / (N - starts[d])))
         estimates, ses = _mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
         spread[d] = (max(estimates) - min(estimates), 4 * max(ses))
         max_z = max(max_z, _max_abs_z(estimates, ses, analytic))

@@ -132,20 +132,18 @@ def operator_norm_dense(op: BranchingOperator) -> SpectralReport:
     return SpectralReport(float(s[0]), 0, 0.0, NormMethod.DENSE_SVD, True)
 
 
-def _blocks(shape):
-    """(k, multiplicity) of each Toeplitz block T_k of the decomposition."""
+def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
+    """solve(T_k) of each Toeplitz block T_k of the decomposition, repeated
+    by its multiplicity, in one array."""
     q, n = shape.q, shape.depth
-    return [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
+    blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
+    return np.concatenate([np.repeat(solve(toeplitz_dense(f, k)), mult) for k, mult in blocks])
 
 
 def singular_values(op: BranchingOperator) -> np.ndarray:
     """All singular values, descending: those of each block T_k, repeated
     by its multiplicity."""
-    pieces = [
-        np.repeat(np.linalg.svd(toeplitz_dense(op.symbol, k), compute_uv=False), mult)
-        for k, mult in _blocks(op.shape)
-    ]
-    return -np.sort(-np.concatenate(pieces))
+    return -np.sort(-_block_spectrum(op.symbol, op.shape, lambda T: np.linalg.svd(T, compute_uv=False)))
 
 
 def radial_basis(shape) -> np.ndarray:
@@ -238,14 +236,14 @@ def certify_positive(matrix_or_op, tol: float = 1e-9):
         f, shape = matrix_or_op.symbol, matrix_or_op.shape
         amax = float(np.abs(matrix_or_op.weights).max())
         herm_defect = max(abs(f.coeff(m) - f.coeff(-m).conjugate()) * amax**m for m in range(shape.depth + 1))
-        blocks = [toeplitz_dense(f, k) for k, _ in _blocks(shape)]
+        spectrum = lambda: _block_spectrum(f, shape, np.linalg.eigvalsh)
     else:
         M = np.asarray(matrix_or_op, dtype=complex)
         herm_defect = np.abs(M - M.conj().T).max() if M.size else 0.0
-        blocks = [M]
+        spectrum = lambda: np.linalg.eigvalsh(M)
     if herm_defect > HERMITIAN_TOL:
         raise ValueError(f"input is not Hermitian: defect {herm_defect}")
-    eigs = np.concatenate([np.linalg.eigvalsh(T) for T in blocks])
+    eigs = spectrum()
     min_eig = float(eigs.min()) if eigs.size else 0.0
     return min_eig >= -tol, min_eig
 

@@ -214,7 +214,10 @@ def run_cn_sandwich(seed=5, trials=20, q_max=8, fuzz=False) -> SuiteResult:
     for _ in range(trials):
         n = int(rng.integers(1, 5))
         f = random_symbol(rng, rng.integers(1, n + 1))
-        t_norm = float(np.linalg.norm(_maybe_fuzz(toeplitz_dense(f, n), fuzz), 2))
+        T = toeplitz_dense(f, n)
+        # the sup equals ||T_n|| exactly, so only a fuzz that raises the
+        # norm can show, and scaling T_n by 1 + 1e-3 always does
+        t_norm = float(np.linalg.norm(T * (1 + 1e-3) if fuzz else T, 2))
         sup = sup_branching_norm(f, n, q_max)
         violation = max(t_norm - sup, sup - 3 * t_norm, 0.0)
         worst = max(worst, violation)

@@ -425,6 +425,11 @@ class _PathRng:
         return _Path(self, self.bits[self.end : self.end + size])
 
 
+def _play(kernel, rng):
+    """Points of the chain draw that asks rng for its uniforms."""
+    return np.flatnonzero(dpp._chains(kernel, 1, lambda lo, hi: rng.random(hi - lo))).tolist()
+
+
 def _set_laws(K):
     """Every set S as a boolean row, and |det(K - I_{S^c})| for each."""
     N = K.shape[0]
@@ -451,7 +456,7 @@ class TestChainExactLaw:
         probs = np.empty(law.size)
         for i, bits in enumerate(sets):
             rng = _PathRng(bits)
-            assert dpp._chain_with_rng(kernel, rng) == np.flatnonzero(bits).tolist()
+            assert _play(kernel, rng) == np.flatnonzero(bits).tolist()
             probs[i] = rng.prob
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.abs(probs - law).max() <= 1e-12
@@ -466,7 +471,7 @@ class TestChainExactLaw:
             bits = np.zeros(kernel.dim, dtype=bool)
             bits[list(points)] = True
             rng = _PathRng(bits)
-            assert tuple(dpp._chain_with_rng(kernel, rng)) == points
+            assert tuple(_play(kernel, rng)) == points
             _, logdet = np.linalg.slogdet(kernel.matrix - np.diag(~bits * 1.0))
             assert abs(np.log(rng.prob) - logdet) <= 1e-12
 
@@ -493,7 +498,7 @@ class TestSampleChain:
         kernel = build_kernel(RADIUS3, 4, 1)
         bits = np.zeros(5, dtype=bool)
         rng = _PathRng(bits)
-        assert dpp._chain_with_rng(kernel, rng) == []
+        assert _play(kernel, rng) == []
         assert rng.prob == pytest.approx(abs(np.linalg.det(kernel.matrix - np.eye(5))), abs=1e-15)
 
     def test_zero_symbol_no_points(self):
@@ -630,6 +635,84 @@ def test_sample_many_unchanged():
         (3417264201368325689, (0, 1, 4, 5, 6, 7, 8, 9, 12, 13)),
     ]
     assert [s.rng_seed for s in draws] == dpp.sample_seeds(4, 2026)
+
+
+def test_sample_chains_unchanged():
+    """The chain sampler's draws stay those of earlier releases."""
+    draws = dpp.sample_chains(build_kernel(COMPLEX_HERM, 2, 3), dpp.sample_seeds(4, 2026))
+    assert [(s.rng_seed, s.occupied) for s in draws] == [
+        (1650382356873837781, (2, 4, 5, 6, 7, 9, 10, 14)),
+        (5902157198672373343, (2, 3, 4, 6, 8, 9, 11, 12)),
+        (4309790304812660981, (0, 1, 6, 8, 9, 12)),
+        (3417264201368325689, (2, 3, 4, 5, 6, 8, 9, 10, 14)),
+    ]
+
+
+CSV_COMPLEX_HERM_2_3 = """\
+statistic,analytic,empirical,stderr
+one_point_gen0,0.5,0.494,0.015818160898606833
+one_point_gen1,0.5,0.509,0.011024542645413483
+one_point_gen2,0.5,0.49725,0.00789729731014382
+one_point_gen3,0.5,0.50175,0.005659413968465857
+comparable_pair_d1,0.225,0.2245714285714286,0.004684737248728068
+comparable_pair_d2,0.25,0.255,0.005199019867759994
+comparable_pair_d3,0.25,0.2475,0.008902837216893866
+incomparable_pair,0.25,0.25157746478873244,0.003991293372506194
+cardinality_mean,7.5,7.515,0.055990266206814104
+cardinality_var,3.0500000000000003,3.13490990990991,0.13897488226350624
+across_ray_spread_d1,0.0,0.020666666666666667,0.03674671397083446
+across_ray_spread_d2,0.0,0.038000000000000006,0.03806132767869068
+across_ray_spread_d3,0.0,0.03,0.05551109331909688
+ray_invariance_max_abs_z,0.0,2.1125436611700463,4.164050097560516
+"""
+
+CSV_RADIUS2_1_6 = """\
+statistic,analytic,empirical,stderr
+one_point_gen0,0.5,0.5,0.015819299929208316
+one_point_gen1,0.5,0.502,0.01581917337430266
+one_point_gen2,0.5,0.497,0.015819015179246818
+one_point_gen3,0.5,0.492,0.015817274929209084
+one_point_gen4,0.5,0.513,0.01581395210189664
+one_point_gen5,0.5,0.504,0.01581879370351084
+one_point_gen6,0.5,0.485,0.01581217964181488
+comparable_pair_d1,0.22920000000000001,0.22766666666666663,0.0064539900310315
+comparable_pair_d2,0.24280000000000002,0.2454,0.006848776952547495
+comparable_pair_d3,0.25,0.246,0.006939535802714557
+comparable_pair_d4,0.25,0.24866666666666665,0.007601198765136427
+comparable_pair_d5,0.25,0.2485,0.009114868667777437
+comparable_pair_d6,0.25,0.234,0.01339490288966006
+incomparable_pair,0.25,nan,nan
+cardinality_mean,3.5,3.493,0.03743464107417557
+cardinality_var,1.4284,1.4013523523523523,0.06194444031301562
+across_ray_spread_d1,0.0,0.0,0.025815960124126
+across_ray_spread_d2,0.0,0.0,0.02739510781018998
+across_ray_spread_d3,0.0,0.0,0.02775814321085823
+across_ray_spread_d4,0.0,0.0,0.03040479506054571
+across_ray_spread_d5,0.0,0.0,0.03645947467110975
+across_ray_spread_d6,0.0,0.0,0.05357961155864024
+ray_invariance_max_abs_z,0.0,1.1944842102850095,3.8030622836266756
+"""
+
+
+@pytest.mark.parametrize(
+    "f, q, n, seed, expected",
+    [(COMPLEX_HERM, 2, 3, 7, CSV_COMPLEX_HERM_2_3), (RADIUS2, 1, 6, 8, CSV_RADIUS2_1_6)],
+    ids=["complex_herm-2-3", "radius2-1-6"],
+)
+def test_diagnostics_csv_unchanged(f, q, n, seed, expected):
+    """The diagnostics of fixed chain draws stay those of earlier releases,
+    byte for byte; only the analytic cardinality cells, sums of LAPACK
+    eigenvalues, are compared to 1e-12."""
+    kernel = build_kernel(f, q, n)
+    csv = sssp_statistics(kernel, dpp.sample_chains(kernel, dpp.sample_seeds(1000, seed))).to_csv()
+    assert csv.endswith("\n")
+    for row, pinned in zip(csv.splitlines(), expected.splitlines(), strict=True):
+        if row.startswith("cardinality_"):
+            name, analytic, rest = row.split(",", 2)
+            pinned_name, pinned_analytic, pinned_rest = pinned.split(",", 2)
+            assert abs(float(analytic) - float(pinned_analytic)) <= 1e-12
+            row, pinned = (name, rest), (pinned_name, pinned_rest)
+        assert row == pinned
 
 
 class TestRayInvariance:

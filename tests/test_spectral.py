@@ -316,6 +316,11 @@ class TestCnSandwich:
         assert result.passed, result
 
 
+    def test_fuzzed_suite_fails_on_every_seed(self):
+        # the seeds and sizes btoep verify --fuzz-entry runs for seeds 0..19
+        for s in range(20):
+            assert not run_cn_sandwich(seed=s + 5, trials=5, q_max=5, fuzz=True).passed, s
+
 class TestTruncationMonotonicity:
     def test_nondecreasing_and_bounded_by_sup_norm(self):
         rng = np.random.default_rng(29)
