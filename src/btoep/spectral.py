@@ -210,7 +210,8 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     n+1 with M^*, must vanish to 1e-12.
     """
     H, MH, R = _radial_images(op, "block decomposition")
-    A = np.stack([op.apply_adjoint(h) for h in H.T]).conj()  # H^T M
+    adjoint = op.adjoint()
+    A = np.stack([adjoint.apply(h) for h in H.T]).conj()  # H^T M
     # column k of H holds the single value q^(-k/2), so the largest entry
     # of H X is max_k q^(-k/2) max|X[k]| and that of Y H^T is read likewise
     c = H.max(axis=0)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btoep import cli, dpp, operators
+from btoep import cli, dpp, operators, spectral
 from btoep.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT,
@@ -19,9 +23,10 @@ from btoep.cli import (
     main,
 )
 from btoep.operators import BranchingOperator, toeplitz_dense
-from btoep.spectral import operator_norm
+from btoep.spectral import operator_norm, singular_values
 from btoep.symbols import Symbol
 from btoep.tree import TreeShape
+from btoep.verify import random_symbol
 
 CONST_ONE = '{"coeffs": [[0, 1, 0]]}'
 SKEW = '{"coeffs": [[-1, -0.6, 0], [0, 0.8, 0], [1, 0.6, 0]]}'
@@ -344,6 +349,102 @@ class TestTable:
             assert proc.stdout == "q,n,branching_norm,toeplitz_norm,gap\n"
         else:
             assert json.loads(proc.stdout)["rows"] == []
+
+
+# captured when every cell built its operator and read its top singular value
+HERMITIAN_TABLE_CSV = """\
+q,n,branching_norm,toeplitz_norm,gap
+1,1,1.5385164807134504,1.5385164807134504,0.0
+1,2,1.7615773105863908,1.7615773105863908,0.0
+1,3,1.8713379692963394,1.8713379692963394,0.0
+2,1,1.5385164807134504,1.5385164807134504,0.0
+2,2,1.7615773105863908,1.7615773105863908,0.0
+2,3,1.8713379692963394,1.8713379692963394,0.0
+3,1,1.5385164807134504,1.5385164807134504,0.0
+3,2,1.7615773105863908,1.7615773105863908,0.0
+3,3,1.8713379692963394,1.8713379692963394,0.0
+"""
+CONST_ONE_TABLE_CSV = """\
+q,n,branching_norm,toeplitz_norm,gap
+1,1,1.0,1.0,0.0
+1,2,1.0,1.0,0.0
+2,1,1.0,1.0,0.0
+2,2,1.0,1.0,0.0
+"""
+
+
+def _table(f: str, q_max: int, n_max: int, fmt: str = "csv"):
+    """(exit code, stdout) of btoep table, captured without a fixture."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["table", "--symbol", f, "--q-max", str(q_max), "--n-max", str(n_max), "--format", fmt])
+    return code, buf.getvalue()
+
+
+class TestTableOracle:
+    """Each row against the operator's own singular values, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 3),
+        st.sampled_from([None, "A1", "A2", "A3"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(0, 5),
+        st.sampled_from(["csv", "json"]),
+    )
+    def test_rows_equal_singular_values(self, radius, case, seed, q_max, n_max, fmt):
+        f = random_symbol(np.random.default_rng(seed), radius, case)
+        self._check(f.to_json(), q_max, n_max, fmt)
+
+    @pytest.mark.parametrize("f", ['{"coeffs": []}', CONST_ONE])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tied_blocks(self, f, fmt):
+        # every block has the same norm, so every k <= n attains the maximum
+        self._check(f, 4, 5, fmt)
+
+    @staticmethod
+    def _check(f_json, q_max, n_max, fmt):
+        code, text = _table(f_json, q_max, n_max, fmt)
+        assert code == EXIT_OK
+        if fmt == "json":
+            rows = [tuple(r) for r in json.loads(text)["rows"]]
+        else:
+            rows = [(int(q), int(n), float(bn), float(tn), float(gap))
+                    for q, n, bn, tn, gap in (line.split(",") for line in text.splitlines()[1:])]
+        f = Symbol.from_json(f_json)
+        assert [(q, n) for q, n, *_ in rows] == [(q, n) for q in range(1, q_max + 1) for n in range(1, n_max + 1)]
+        for q, n, bn, tn, gap in rows:
+            assert bn == float(singular_values(BranchingOperator.uniform(q, n, f))[0])
+            assert tn == float(np.linalg.norm(toeplitz_dense(f, n), 2))
+            assert gap == bn - tn
+
+    @pytest.mark.parametrize("f, q_max, n_max, expected", [
+        (HERMITIAN, 3, 3, HERMITIAN_TABLE_CSV),
+        (CONST_ONE, 2, 2, CONST_ONE_TABLE_CSV),
+    ])
+    def test_csv_unchanged(self, f, q_max, n_max, expected):
+        assert _table(f, q_max, n_max) == (EXIT_OK, expected)
+
+    def test_solves_each_order_once(self, monkeypatch):
+        # by the block theorem the grid needs ||T_k|| for k = 0..n_max alone:
+        # no operator, no spectrum of one
+        def refuse(*args, **kwargs):
+            raise AssertionError("btoep table built an operator or its spectrum")
+
+        orders = []
+        dense = cli.toeplitz_dense
+
+        def count(f, k):
+            orders.append(k)
+            return dense(f, k)
+
+        monkeypatch.setattr(spectral, "singular_values", refuse)
+        monkeypatch.setattr(BranchingOperator, "uniform", refuse)
+        monkeypatch.setattr(cli, "toeplitz_dense", count)
+        code, _ = _table(TWO_RADIUS, 4, 5)
+        assert code == EXIT_OK
+        assert sorted(orders) == list(range(6))
 
 
 class TestBadArguments:

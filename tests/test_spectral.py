@@ -186,6 +186,15 @@ class TestBlockNorms:
                 bn = block_norms(BranchingOperator.uniform(q, n, f))
                 assert bn.complement <= bn.radial + 1e-9
 
+    def test_builds_the_adjoint_once(self, monkeypatch):
+        # n + 1 products with M^* through one adjoint operator, not one each
+        built = []
+        adjoint = BranchingOperator.adjoint
+        monkeypatch.setattr(BranchingOperator, "adjoint", lambda self: built.append(1) or adjoint(self))
+        op = BranchingOperator.uniform(3, 6, Symbol({-1: 0.3 + 0.1j, 0: 0.5, 1: 0.25, 2: 0.1j}))
+        assert block_norms(op).total > 0
+        assert len(built) == 1
+
 
 class TestPositivity:
     def test_fejer_window_psd(self):
