@@ -21,12 +21,10 @@ from .dpp import (
 from .operators import (
     BranchingOperator,
     OperatorTuple,
-    ToeplitzMatrix,
     WeightVector,
     gauge_transform,
     op_valued_entry,
     op_valued_materialize,
-    toeplitz,
     toeplitz_dense,
 )
 from .spectral import (

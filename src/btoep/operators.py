@@ -41,8 +41,6 @@ from .tree import Relation, TreeShape, Vertex, comparability
 __all__ = [
     "WeightVector",
     "BranchingOperator",
-    "ToeplitzMatrix",
-    "toeplitz",
     "toeplitz_dense",
     "gauge_transform",
     "OperatorTuple",
@@ -261,31 +259,14 @@ class BranchingOperator:
         return self._kernel.materialize()
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
-    """Classical (n+1) x (n+1) Toeplitz matrix with entry (k, l) = h(k - l)."""
-
-    symbol: Symbol
-    order: int  # = n + 1
-
-    def dense(self) -> np.ndarray:
-        n = self.order - 1
-        idx = np.arange(n + 1)
-        diff = idx[:, None] - idx[None, :]
-        M = np.zeros((n + 1, n + 1), dtype=complex)
-        for k, c in self.symbol.coeffs.items():
-            M[diff == k] = c
-        return M
-
-
-def toeplitz(symbol: Symbol, n: int) -> ToeplitzMatrix:
+def toeplitz_dense(symbol: Symbol, n: int) -> np.ndarray:
+    """Classical (n+1) x (n+1) Toeplitz matrix T_n with entry (i, j) = h(i - j)."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    return ToeplitzMatrix(symbol, n + 1)
-
-
-def toeplitz_dense(symbol: Symbol, n: int) -> np.ndarray:
-    return toeplitz(symbol, n).dense()
+    # h[k + n] = h(k) for |k| <= n, gathered once: every entry is a copy
+    h = np.array([symbol.coeff(k) for k in range(-n, n + 1)], dtype=complex)
+    idx = np.arange(n + 1)
+    return h[idx[:, None] - idx[None, :] + n]
 
 
 def gauge_transform(op: BranchingOperator, t: float) -> BranchingOperator:

@@ -71,7 +71,7 @@ class SpectralReport:
     iterations: int
     residual: float
     method: NormMethod
-    converged: bool = True
+    converged: bool
 
     def to_json(self) -> str:
         return json.dumps(

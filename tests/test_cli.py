@@ -447,6 +447,11 @@ class TestTableOracle:
         assert sorted(orders) == list(range(6))
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestBadArguments:
     @pytest.mark.parametrize("argv", [
         ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2", "--seed", "-1"],

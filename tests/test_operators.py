@@ -13,7 +13,6 @@ from btoep.operators import (
     matrix_to_json,
     op_valued_entry,
     op_valued_materialize,
-    toeplitz,
     toeplitz_dense,
     _Kernel,
 )
@@ -284,9 +283,24 @@ class TestToeplitz:
         T = toeplitz_dense(Symbol({-1: 1, 1: 1}), 2)
         assert np.allclose(T, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
-    def test_order_field(self):
-        t = toeplitz(Symbol({0: 1}), 4)
-        assert t.order == 5 and t.dense().shape == (5, 5)
+    def test_definition(self):
+        with pytest.raises(ValueError, match="order"):
+            toeplitz_dense(Symbol({0: 1}), -1)
+        rng = np.random.default_rng(15)
+        for n in range(13):
+            symbols = [Symbol()]
+            for radius in range(n + 3):
+                # a third of the coefficients dropped, so zeros sit inside the band too
+                keep = rng.random(2 * radius + 1) < 2 / 3
+                ks = np.arange(-radius, radius + 1)[keep]
+                symbols.append(Symbol({int(k): complex(*rng.uniform(-1, 1, 2)) for k in ks}))
+            for f in symbols:
+                T = toeplitz_dense(f, n)
+                assert T.shape == (n + 1, n + 1)
+                assert T.dtype == np.complex128 and T.flags.c_contiguous
+                for i in range(n + 1):
+                    for j in range(n + 1):
+                        assert T[i, j] == f.coeff(i - j)
 
     def test_matches_q1_operator(self):
         rng = np.random.default_rng(6)
