@@ -20,7 +20,11 @@ The dense matrix stays the independent oracle: operator_norm_dense is the
 SVD of materialize(), the reference that sup_branching_norm and the tests
 measure against, and radial_blocks measures the radial block structure of
 any dense matrix for the verify suites.  operator_norm is a matrix-free
-power iteration on x -> G* G x with a deterministic seeded start.
+power iteration on x -> G* G x.  Its seeded start lies in the weighted
+radial subspace, which M and M* leave invariant and which carries T_n, so
+it converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n alone, not at the
+(||T_{n-1}|| / ||T_n||)^2 of a start with a complement part: 92 steps
+instead of 1236 at (q, n) = (2, 14) on {0: .5, +-1: .25, +-2: .1}.
 """
 
 from __future__ import annotations
@@ -93,18 +97,22 @@ def operator_norm(
     """Power iteration on x -> apply_adjoint(apply(x)); returns sqrt of the
     top eigenvalue estimate.
 
-    Converged when the relative eigenvalue change stays below tol for three
-    consecutive iterations; on non-convergence the report carries
-    converged=False and the best estimate so far.  Either way the residual
-    is ||z - lam x|| / lam of the last iterate x, with z its image.
+    The start is the weighted radial vector of a seeded complex (n+1)-vector
+    c, generation k holding c[k] times the k-fold Kronecker power of the
+    weights.  The iteration stays in that subspace, whose block T_n attains
+    the operator norm.  Converged when the relative eigenvalue change stays
+    below tol for three consecutive iterations; on non-convergence the
+    report carries converged=False and the best estimate so far.  Either
+    way the residual is ||z - lam x|| / lam of the last iterate x, with z
+    its image.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rng = np.random.default_rng(seed)
-    n = op.dim
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    n = op.shape.depth
+    x = _radial_lift(op, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
     x /= np.linalg.norm(x)
     adjoint = op.adjoint()
     lam = 0.0
@@ -249,6 +257,19 @@ def certify_positive(matrix_or_op, tol: float = 1e-9):
     return min_eig >= -tol, min_eig
 
 
+def _radial_lift(op: BranchingOperator, c: np.ndarray) -> np.ndarray:
+    """The N-vector whose generation k is c[k] times the k-fold Kronecker
+    power of the weights, written in place generation by generation."""
+    starts = op.shape.generation_starts
+    vec = np.empty(op.dim, dtype=complex)
+    column = np.ones(1, dtype=complex)
+    np.multiply(c[0], column, out=vec[:1])
+    for k in range(1, op.shape.depth + 1):
+        column = np.kron(column, op.weights)
+        np.multiply(c[k], column, out=vec[starts[k] : starts[k + 1]])
+    return vec
+
+
 def norming_vector(op: BranchingOperator):
     """(vector, achieved_norm, is_radial) for a top right-singular vector.
 
@@ -270,12 +291,7 @@ def norming_vector(op: BranchingOperator):
         proj = basis @ basis.conj().T[:, 0]
         if np.linalg.norm(proj) > 1e-8:
             w = proj / np.linalg.norm(proj)
-    column = np.ones(1, dtype=complex)
-    pieces = [w[0] * column]
-    for k in range(1, n + 1):
-        column = np.kron(column, op.weights)
-        pieces.append(w[k] * column)
-    vec = np.concatenate(pieces)
+    vec = _radial_lift(op, w)
     H = radial_basis(op.shape)
     resid = np.linalg.norm(vec - H @ (H.T @ vec))
     return vec, achieved, bool(resid <= RADIAL_TOL)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from btoep import operators
+from btoep import operators, spectral
 from btoep.operators import BranchingOperator, gauge_transform, toeplitz_dense
 from btoep.spectral import (
     NormMethod,
+    _radial_lift,
     block_norms,
     certify_positive,
     cn_sandwich,
@@ -16,11 +17,14 @@ from btoep.spectral import (
     radial_basis,
     radial_compress,
     singular_values,
+    sup_branching_norm,
 )
 from btoep.symbols import Symbol, sup_norm
 from btoep.verify import random_symbol, random_unit_weights, run_cn_sandwich
 
 SKEW = Symbol({-1: -0.6, 0: 0.8, 1: 0.6})
+# the norm_matfree symbol of the benchmark
+BENCH = Symbol({-2: 0.1, -1: 0.25, 0: 0.5, 1: 0.25, 2: 0.1})
 
 
 class TestOperatorNorm:
@@ -60,6 +64,34 @@ class TestOperatorNorm:
                 assert power.converged
                 assert abs(power.norm_estimate - dense.norm_estimate) <= max(1e-7, tol)
 
+    # The radial start relies on the block theorem for the norm; checked
+    # against the SVD of materialize() on general unit weights, paths and
+    # the root alone, with symbols that are not Hermitian (cases None, A3)
+    @pytest.mark.parametrize(
+        "q, n, weighted",
+        [(2, 4, True), (3, 3, True), (4, 3, True), (1, 0, False), (1, 6, False), (1, 30, False), (2, 0, False), (5, 0, False)],
+    )
+    def test_radial_start_agrees_with_dense_svd(self, q, n, weighted):
+        rng = np.random.default_rng(30 + 7 * q + n)
+        for case in (None, "A2", "A3"):
+            f = random_symbol(rng, 2, case)
+            if weighted:
+                op = BranchingOperator.with_weights(random_unit_weights(rng, q), n, f)
+            else:
+                op = BranchingOperator.uniform(q, n, f)
+            power = operator_norm(op, max_iter=50000)
+            assert power.converged
+            assert abs(power.norm_estimate - operator_norm_dense(op).norm_estimate) <= 1e-7
+
+    def test_radial_start_iteration_guard(self):
+        # a random N-vector start takes 1236 iterations here, with relative
+        # error 4.5e-9; the radial start runs at the rate of T_14 alone
+        report = operator_norm(BranchingOperator.uniform(2, 14, BENCH))
+        exact = np.linalg.norm(toeplitz_dense(BENCH, 14), 2)
+        assert report.converged
+        assert report.iterations <= 150
+        assert abs(report.norm_estimate - exact) <= 1e-9 * exact
+
     def test_deterministic(self):
         op = BranchingOperator.uniform(2, 4, Symbol({-1: 1j, 0: 0.5, 2: 1}))
         assert operator_norm(op) == operator_norm(op)
@@ -92,12 +124,14 @@ class TestOperatorNorm:
         assert report.norm_estimate == 0.0 and report.converged
 
 
-def power_reference(M, tol, max_iter, seed):
-    """operator_norm's power loop on the dense matrix M, with the residual
+def power_reference(M, shape, tol, max_iter, seed):
+    """operator_norm's power loop on the dense matrix M of a uniform-weight
+    operator on shape, from the radial start H c, with the residual
     ||z - lam x|| / lam taken on every step: (norm, iterations, residual,
     converged)."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    c = rng.standard_normal(shape.depth + 1) + 1j * rng.standard_normal(shape.depth + 1)
+    x = radial_basis(shape) @ c
     x /= np.linalg.norm(x)
     G = M.conj().T @ M
     lam, streak = 0.0, 0
@@ -126,12 +160,41 @@ class TestPowerLoop:
         apply = operators._Kernel.apply
         monkeypatch.setattr(operators._Kernel, "apply", lambda self, x: calls.append(1) or apply(self, x))
         report = operator_norm(self.OP, max_iter=max_iter, seed=5)
-        norm, iterations, residual, converged = power_reference(self.OP.materialize(), 1e-10, max_iter, 5)
+        norm, iterations, residual, converged = power_reference(
+            self.OP.materialize(), self.OP.shape, 1e-10, max_iter, 5
+        )
         assert report.converged == converged == (max_iter == 10000)
         assert report.iterations == iterations
         assert abs(report.residual - residual) <= 1e-12
         assert abs(report.norm_estimate - norm) <= 1e-12
         assert len(calls) == 2 * report.iterations
+
+
+class TestRadialLift:
+    """_radial_lift writes c[k] times the k-fold Kronecker power of the
+    weights into generation k: the start of operator_norm and the lift of
+    norming_vector."""
+
+    def test_uniform_is_radial_basis(self):
+        rng = np.random.default_rng(23)
+        for q, n in ((1, 4), (2, 5), (3, 4), (5, 2)):
+            op = BranchingOperator.uniform(q, n, Symbol({0: 1}))
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            assert np.abs(_radial_lift(op, c) - radial_basis(op.shape) @ c).max() <= 1e-15
+
+    def test_weighted_generation_is_kronecker_power(self):
+        rng = np.random.default_rng(24)
+        for q, n in ((2, 5), (3, 4), (4, 3)):
+            a = random_unit_weights(rng, q)
+            op = BranchingOperator.with_weights(a, n, Symbol({0: 1}))
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            vec = _radial_lift(op, c)
+            starts = op.shape.generation_starts
+            for k in range(n + 1):
+                # entry o of a^{(x)k} is the product of a over the k base-q digits of o
+                offsets = np.arange(q**k)
+                power = np.prod([a[offsets // q**i % q] for i in range(k)], axis=0)
+                assert np.abs(vec[starts[k] : starts[k + 1]] - c[k] * power).max() <= 1e-15
 
 
 class TestRadialCompression:
@@ -324,6 +387,24 @@ class TestCnSandwich:
         result = run_cn_sandwich()
         assert result.passed, result
 
+
+    def test_power_fallback_returns_toeplitz_norm(self, monkeypatch):
+        # q = 6..8 at n = 4 have 1555, 2801 and 4681 vertices, over the dense
+        # rows; each power estimate must reach ||T_4||, since the dense
+        # values at q = 2..5 would hide an underestimate in the sup
+        estimates = {}
+        power = spectral.operator_norm
+        monkeypatch.setattr(
+            spectral,
+            "operator_norm",
+            lambda op, **kw: estimates.setdefault(op.shape.q, power(op, **kw)),
+        )
+        exact = np.linalg.norm(toeplitz_dense(BENCH, 4), 2)
+        assert abs(sup_branching_norm(BENCH, 4, 8) - exact) <= 1e-9
+        assert sorted(estimates) == [6, 7, 8]
+        for report in estimates.values():
+            assert report.converged
+            assert abs(report.norm_estimate - exact) <= 1e-9
 
     def test_fuzzed_suite_fails_on_every_seed(self):
         # the seeds and sizes btoep verify --fuzz-entry runs for seeds 0..19
