@@ -15,8 +15,9 @@ Subcommands:
           invocation
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
-a negative --seed, an unreadable --symbol-file and an --out that cannot
-be written included), 2 norm non-convergence, 3 verification failure,
+a negative --seed, an unreadable --symbol-file, an --out that cannot
+be written and a dpp --out with a directory at either output path
+included), 2 norm non-convergence, 3 verification failure,
 4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
 of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
 the dense cap on the tree of dpp or on the largest tree (q_max, n_max) of
@@ -31,6 +32,7 @@ succeeds, never partially.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -64,6 +66,8 @@ EXACT_NORM_MAX_ORDER = 1024
 # vertex and sample for the diagnostics plus about 40 bytes per drawn
 # point for the samples and their JSON lines
 MAX_DPP_VERTEX_SAMPLES = 2**26
+# dpp writes --out with each of these appended
+DPP_SUFFIXES = (".samples.jsonl", ".diagnostics.csv")
 
 
 def _fail(msg: str, code: int) -> int:
@@ -191,7 +195,7 @@ def cmd_verify(args) -> int:
         ]
     else:
         results = verify_mod.run_all(seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry)
-    _emit(args.out, "".join(json.dumps(r.to_dict()) + "\n" for r in results))
+    _emit(args.out, "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -211,9 +215,10 @@ def cmd_dpp(args) -> int:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
     draws = dpp_mod.sample_chains(kernel, dpp_mod.sample_seeds(args.samples, args.seed))
     report = dpp_mod.sssp_statistics(kernel, draws)
-    Path(args.out + ".samples.jsonl").write_text(dpp_mod.samples_to_jsonl(report.draws))
-    Path(args.out + ".diagnostics.csv").write_text(report.to_csv())
-    print(f"wrote {args.out}.samples.jsonl and {args.out}.diagnostics.csv")
+    samples_path, diagnostics_path = (args.out + s for s in DPP_SUFFIXES)
+    Path(samples_path).write_text(dpp_mod.samples_to_jsonl(draws))
+    Path(diagnostics_path).write_text(report.to_csv())
+    print(f"wrote {samples_path} and {diagnostics_path}")
     return EXIT_OK
 
 
@@ -261,6 +266,11 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out or "") or "."
         if not os.path.isdir(out_dir):
             raise ValueError(f"--out directory {out_dir!r} does not exist")
+        if handler is cmd_dpp:
+            # both files or neither, so neither path may be a directory
+            for path in (args.out + s for s in DPP_SUFFIXES):
+                if os.path.isdir(path):
+                    raise ValueError(f"--out path {path!r} is a directory")
         if handler is not cmd_norm:
             # every other subcommand keeps its trees under the dense cap
             dense_cap()

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
 
@@ -298,7 +298,7 @@ class SsspReport:
     of the one-point intensity or of a pair correlation minus its analytic
     value, over the stderr pooled over the rays, for every ray and
     distance, and the critical value is Sidak's at family-wise level
-    RAY_LEVEL; draws are the samples all of these are estimated from.
+    RAY_LEVEL.
     """
 
     samples: int
@@ -309,7 +309,6 @@ class SsspReport:
     cardinality: tuple
     cardinality_var: tuple
     ray_invariance: tuple
-    draws: list = field(repr=False, compare=False)
 
     def to_csv(self) -> str:
         # the spread and ray-invariance rows write 0.0 as their analytic value
@@ -430,5 +429,4 @@ def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
         cardinality=cardinality,
         cardinality_var=cardinality_var,
         ray_invariance=ray_invariance,
-        draws=draws,
     )

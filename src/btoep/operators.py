@@ -48,8 +48,6 @@ __all__ = [
     "op_valued_materialize",
     "DenseCapError",
     "dense_cap",
-    "matrix_to_csv",
-    "matrix_to_json",
 ]
 
 DEFAULT_DENSE_CAP = 4096
@@ -251,9 +249,6 @@ class BranchingOperator:
         """y[u] = sum_v entry(u, v) x[v] without forming the matrix."""
         return self._kernel.apply(x)
 
-    def apply_adjoint(self, x) -> np.ndarray:
-        return self.adjoint().apply(x)
-
     def materialize(self) -> np.ndarray:
         """Dense matrix M[linear_index(u), linear_index(v)] = entry(u, v)."""
         return self._kernel.materialize()
@@ -313,24 +308,3 @@ def op_valued_entry(A: OperatorTuple, f: Symbol, u: Vertex, v: Vertex, shape: Tr
 def op_valued_materialize(A: OperatorTuple, f: Symbol, shape: TreeShape) -> np.ndarray:
     """Dense (|B_n| d) x (|B_n| d) block matrix of the operator-valued kernel."""
     return _Kernel(A.matrices, shape, f).materialize()
-
-
-# -- dense matrix export ----------------------------------------------------
-
-
-def matrix_to_csv(M) -> str:
-    """Row-major CSV with cells formatted re+imj."""
-    M = np.asarray(M, dtype=complex)
-    lines = []
-    for row in M:
-        lines.append(",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json(M) -> str:
-    """JSON object {"rows": N, "data": [[re, im], ...]} in row-major order."""
-    import json
-
-    M = np.asarray(M, dtype=complex)
-    data = [[float(z.real), float(z.imag)] for z in M.ravel()]
-    return json.dumps({"rows": int(M.shape[0]), "data": data})

@@ -94,8 +94,8 @@ def operator_norm(
     max_iter: int = 10000,
     seed: int = POWER_SEED,
 ) -> SpectralReport:
-    """Power iteration on x -> apply_adjoint(apply(x)); returns sqrt of the
-    top eigenvalue estimate.
+    """Power iteration on x -> M^* M x, M^* = op.adjoint() built once;
+    returns sqrt of the top eigenvalue estimate.
 
     The start is the weighted radial vector of a seeded complex (n+1)-vector
     c, generation k holding c[k] times the k-fold Kronecker power of the

@@ -111,10 +111,13 @@ class Symbol:
                 raise ValueError(f"frequency index must be an integer, got {k!r}")
             if k in coeffs:
                 raise ValueError(f"duplicate frequency index {k}")
+            # JSON numbers only: float() would also take "0.5" and true
+            if not {type(re), type(im)} <= {int, float}:
+                raise ValueError(f"coefficient parts must be numbers, got {row!r}")
             try:
                 coeffs[k] = complex(float(re), float(im))
-            except TypeError as exc:
-                raise ValueError(f"coefficient parts must be numbers, got {row!r}") from exc
+            except OverflowError as exc:
+                raise ValueError(f"coefficient parts must be finite, got {row!r}") from exc
         return cls(coeffs)
 
 

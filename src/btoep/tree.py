@@ -29,16 +29,9 @@ __all__ = [
     "parent",
     "ancestor",
     "children",
-    "descent_digits",
-    "descend_offset",
     "comparability",
     "descendants_range",
 ]
-
-# A path word is the tuple of child indices taken on the way down from an
-# ancestor; digits[0] is the first step, digits[-1] the step that reaches
-# the descendant.
-PathWord = tuple
 
 
 @dataclass(frozen=True)
@@ -59,9 +52,6 @@ class TreeShape:
         if self.q == 1:
             return self.depth + 1
         return (self.q ** (self.depth + 1) - 1) // (self.q - 1)
-
-    def generation_size(self, g: int) -> int:
-        return self.q**g
 
     def generation_start(self, g: int) -> int:
         """Linear index of the first vertex of generation g."""
@@ -134,24 +124,6 @@ def children(v: Vertex, shape: TreeShape):
     return [Vertex(v.generation + 1, base + j) for j in range(shape.q)]
 
 
-def descent_digits(anc: Vertex, desc: Vertex, q: int) -> PathWord:
-    """Child indices taken descending from anc to desc, first step first."""
-    m = desc.generation - anc.generation
-    rel = desc.offset - anc.offset * q**m
-    digits = []
-    for i in range(m - 1, -1, -1):
-        digits.append((rel // q**i) % q)
-    return tuple(digits)
-
-
-def descend_offset(anc_offset: int, digits, q: int) -> int:
-    """Offset of the vertex reached from offset anc_offset by the given digits."""
-    k = anc_offset
-    for d in digits:
-        k = q * k + d
-    return k
-
-
 class Relation(Enum):
     EQUAL = "equal"
     U_ANCESTOR_OF_V = "u_ancestor_of_v"
@@ -161,16 +133,11 @@ class Relation(Enum):
 
 @dataclass(frozen=True)
 class Comparability:
-    """Outcome of a comparability query.
-
-    distance is the generation difference (0 for equal or incomparable
-    pairs); digits is the descent path from the higher vertex down to the
-    lower one, empty unless one vertex strictly dominates the other.
-    """
+    """Outcome of a comparability query: the relation and the generation
+    distance, 0 for equal or incomparable pairs."""
 
     relation: Relation
     distance: int = 0
-    digits: PathWord = ()
 
 
 def comparability(u: Vertex, v: Vertex, shape: TreeShape) -> Comparability:
@@ -183,11 +150,11 @@ def comparability(u: Vertex, v: Vertex, shape: TreeShape) -> Comparability:
     if u.generation <= v.generation:
         m = v.generation - u.generation
         if v.offset // q**m == u.offset:
-            return Comparability(Relation.U_ANCESTOR_OF_V, m, descent_digits(u, v, q))
+            return Comparability(Relation.U_ANCESTOR_OF_V, m)
     if v.generation < u.generation:
         m = u.generation - v.generation
         if u.offset // q**m == v.offset:
-            return Comparability(Relation.V_ANCESTOR_OF_U, m, descent_digits(v, u, q))
+            return Comparability(Relation.V_ANCESTOR_OF_U, m)
     return Comparability(Relation.INCOMPARABLE)
 
 

@@ -6,12 +6,12 @@ of materialize() on random (q, n, weights, symbol), q = 1, n = 0, the
 empty symbol and support radius above n included.  Coefficients are
 multiples of 1/8, so a non-Hermitian symbol is non-Hermitian by far more
 than the 1e-10 tolerance, and both checks must reach the same decision.
-The matrix-free apply, apply_adjoint and entry are checked against the
-same matrix, and the uniform matrix of a Hermitian symbol is exactly
-self-adjoint, which btoep.dpp.build_kernel relies on.  The engine's apply
-at d = 2 and 3 is checked against op_valued_materialize on random
-non-commuting tuples, with symbols that skip a coefficient next to the
-diagonal.
+The matrix-free apply, the apply of its adjoint() and entry are checked
+against the same matrix, and the uniform matrix of a Hermitian symbol is
+exactly self-adjoint, which btoep.dpp.build_kernel relies on.  The
+engine's apply at d = 2 and 3 is checked against op_valued_materialize
+on random non-commuting tuples, with symbols that skip a coefficient
+next to the diagonal.
 """
 
 import numpy as np
@@ -155,7 +155,7 @@ def test_entry_matches_dense(op, seed):
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_apply_adjoint_is_the_adjoint(op, seed):
     x, y = _unit_vectors(seed, op.dim, 2)
-    assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.apply_adjoint(y), x)) <= 1e-12
+    assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.adjoint().apply(y), x)) <= 1e-12
 
 
 @ORACLE

@@ -187,6 +187,21 @@ class TestDpp:
         header = (tmp_path / "run.diagnostics.csv").read_text().split("\n", 1)[0]
         assert header == "statistic,analytic,empirical,stderr"
 
+    @pytest.mark.parametrize("suffix", cli.DPP_SUFFIXES)
+    def test_directory_at_either_path_writes_nothing(self, suffix, tmp_path, capsys, monkeypatch):
+        # both files or neither: refused before anything is drawn
+        monkeypatch.setattr(dpp, "sample_chains", lambda *a: pytest.fail("btoep dpp drew samples"))
+        (tmp_path / ("run" + suffix)).mkdir()
+        code = main(
+            ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2",
+             "--samples", "1000", "--out", str(tmp_path / "run")]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["run" + suffix]
+        assert not any((tmp_path / ("run" + suffix)).iterdir())
+
     def test_rejects_sign_changing_symbol(self, tmp_path, capsys):
         out = tmp_path / "bad"
         code = main(
@@ -224,6 +239,7 @@ class TestDpp:
         kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
         expected = dpp.sssp_statistics(kernel, draws).to_csv()
         assert (tmp_path / "run.diagnostics.csv").read_text() == expected
+        assert (tmp_path / "run.samples.jsonl").read_text() == dpp.samples_to_jsonl(draws)
 
     @pytest.mark.parametrize("q, n, f", [(2, 6, RAISED_COS), (3, 4, TWO_RADIUS)])
     def test_no_dense_step(self, q, n, f, tmp_path, capsys, monkeypatch):

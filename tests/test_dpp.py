@@ -339,10 +339,11 @@ class TestDiagnosticsOracle:
     @pytest.mark.parametrize("q, n, f", [(2, 3, RAISED_COS), (3, 2, COMPLEX_HERM)])
     def test_pair_statistics(self, q, n, f):
         kernel = build_kernel(f, q, n)
-        report = sssp_diagnostics(kernel, samples=1000, seed=17)
+        draws = sample_many(kernel, 1000, 17)
+        report = sssp_statistics(kernel, draws)
         shape, N = kernel.shape, kernel.dim
-        X = np.zeros((len(report.draws), N))
-        for t, s in enumerate(report.draws):
+        X = np.zeros((len(draws), N))
+        for t, s in enumerate(draws):
             X[t, list(s.occupied)] = 1.0
 
         def mean_se(pairs):

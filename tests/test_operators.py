@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from btoep.operators import (
     OperatorTuple,
     WeightVector,
     gauge_transform,
-    matrix_to_csv,
-    matrix_to_json,
     op_valued_entry,
     op_valued_materialize,
     toeplitz_dense,
@@ -198,13 +194,13 @@ class TestAdjoint:
             coeffs[k], coeffs[-k] = c, c.conjugate()
         op = BranchingOperator.uniform(3, 4, Symbol(coeffs))
         x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        assert np.linalg.norm(op.apply(x) - op.apply_adjoint(x)) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(op.apply(x) - op.adjoint().apply(x)) <= 1e-10 * np.linalg.norm(x)
 
     def test_up_shift(self):
         op = BranchingOperator.uniform(3, 2, Symbol({1: 1}))
         x = np.zeros(op.dim, dtype=complex)
         x[1] = 1  # first child of the root
-        y = op.apply_adjoint(x)
+        y = op.adjoint().apply(x)
         expected = np.zeros(op.dim, dtype=complex)
         expected[0] = 3 ** (-1 / 2)
         assert np.allclose(y, expected, atol=1e-15)
@@ -217,7 +213,7 @@ class TestAdjoint:
             x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             y = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             lhs = np.vdot(y, op.apply(x))
-            rhs = np.vdot(op.apply_adjoint(y), x)
+            rhs = np.vdot(op.adjoint().apply(y), x)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_adjoint_matches_dense_conjugate_transpose(self):
@@ -463,16 +459,3 @@ class TestOperatorValued:
         A = self.rand_tuple(rng, q=3)
         with pytest.raises(ValueError):
             op_valued_entry(A, Symbol({0: 1}), Vertex(0, 0), Vertex(0, 0), TreeShape(2, 1))
-
-
-class TestExport:
-    def test_csv_cells(self):
-        M = np.array([[1 + 2j, -0.5 - 1j]])
-        text = matrix_to_csv(M)
-        assert text == "1+2j,-0.5-1j\n"
-
-    def test_json_layout(self):
-        M = np.array([[1 + 2j, 0], [0, 3 - 1j]])
-        data = json.loads(matrix_to_json(M))
-        assert data["rows"] == 2
-        assert data["data"] == [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, -1.0]]

@@ -383,7 +383,6 @@ class TestCnSandwich:
             cn_sandwich(Symbol({0: 1}), 2, 1)
 
     def test_verify_suite_at_defaults(self):
-        # q_max = 8 reaches trees (q=8, n=4: 4681 rows) above the dense cap
         result = run_cn_sandwich()
         assert result.passed, result
 
@@ -409,7 +408,7 @@ class TestCnSandwich:
     def test_fuzzed_suite_fails_on_every_seed(self):
         # the seeds and sizes btoep verify --fuzz-entry runs for seeds 0..19
         for s in range(20):
-            assert not run_cn_sandwich(seed=s + 5, trials=5, q_max=5, fuzz=True).passed, s
+            assert not run_cn_sandwich(seed=s + 5, trials=5, fuzz=True).passed, s
 
 class TestTruncationMonotonicity:
     def test_nondecreasing_and_bounded_by_sup_norm(self):

@@ -55,7 +55,16 @@ class TestConstruction:
             Symbol.from_json("[1, 2]")
         with pytest.raises(ValueError):
             Symbol.from_json("{not json")
-        for text in ('{"coeffs": 5}', '{"coeffs": [[0, null, 0]]}', '{"coeffs": [[0, [1], 0]]}'):
+        for text in (
+            '{"coeffs": 5}',
+            '{"coeffs": [[0, null, 0]]}',
+            '{"coeffs": [[0, [1], 0]]}',
+            '{"coeffs": [[0, "0.5", 0]]}',
+            '{"coeffs": [[0, " 1e0 ", "-0"]]}',
+            '{"coeffs": [[0, true, false]]}',
+            '{"coeffs": [[0, 1, true]]}',
+            '{"coeffs": [[0, 1%s, 0]]}' % ("0" * 400),
+        ):
             with pytest.raises(ValueError):
                 Symbol.from_json(text)
 

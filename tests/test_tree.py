@@ -9,9 +9,7 @@ from btoep.tree import (
     ancestor,
     children,
     comparability,
-    descend_offset,
     descendants_range,
-    descent_digits,
     linear_index,
     parent,
     vertex_from_index,
@@ -46,10 +44,6 @@ class TestShape:
     @pytest.mark.parametrize("q,n,count", [(2, 3, 15), (3, 2, 13), (1, 5, 6), (5, 0, 1)])
     def test_vertex_count(self, q, n, count):
         assert TreeShape(q, n).vertex_count == count
-
-    def test_generation_sizes(self):
-        shape = TreeShape(3, 4)
-        assert [shape.generation_size(g) for g in range(5)] == [1, 3, 9, 27, 81]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -94,7 +88,6 @@ class TestComparability:
         c = comparability(Vertex(0, 0), Vertex(2, 3), shape)
         assert c.relation is Relation.U_ANCESTOR_OF_V
         assert c.distance == 2
-        assert c.digits == (1, 1)
 
     def test_siblings_incomparable(self):
         shape = TreeShape(2, 3)
@@ -125,16 +118,7 @@ class TestComparability:
                 Relation.V_ANCESTOR_OF_U: Relation.U_ANCESTOR_OF_V,
             }
             assert cv.relation is mirrored[cu.relation]
-            assert cv.distance == cu.distance and cv.digits == cu.digits
-
-    def test_path_word_reconstructs_offset(self):
-        shape = TreeShape(3, 4)
-        for v in all_vertices(shape):
-            for m in range(v.generation + 1):
-                anc = ancestor(v, m, 3)
-                digits = descent_digits(anc, v, 3)
-                assert len(digits) == m
-                assert descend_offset(anc.offset, digits, 3) == v.offset
+            assert cv.distance == cu.distance
 
     def test_comparable_pair_density_decreases(self):
         # sparsity: the fraction of comparable pairs shrinks with depth
