@@ -16,8 +16,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
 a negative --seed, an unreadable --symbol-file, an --out that cannot
-be written and a dpp --out with a directory at either output path
-included), 2 norm non-convergence, 3 verification failure,
+be written and an output path that is a directory, refused before any
+work, included), 2 norm non-convergence, 3 verification failure,
 4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
 of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
 the dense cap on the tree of dpp or on the largest tree (q_max, n_max) of
@@ -68,6 +68,8 @@ EXACT_NORM_MAX_ORDER = 1024
 MAX_DPP_VERTEX_SAMPLES = 2**26
 # dpp writes --out with each of these appended
 DPP_SUFFIXES = (".samples.jsonl", ".diagnostics.csv")
+# the method column of both output formats of norm
+NORM_METHOD = "PowerIteration"
 
 
 def _fail(msg: str, code: int) -> int:
@@ -175,11 +177,11 @@ def cmd_norm(args) -> int:
     if args.format == "csv":
         text = (
             "norm,method,iterations,residual\n"
-            f"{report.norm_estimate!r},{report.method.value},"
-            f"{report.iterations},{report.residual!r}"
+            f"{report.norm_estimate!r},{NORM_METHOD},{report.iterations},{report.residual!r}"
         )
     else:
-        text = report.to_json()
+        text = json.dumps({"norm": report.norm_estimate, "method": NORM_METHOD,
+                           "iterations": report.iterations, "residual": report.residual})
     _emit(args.out, text + "\n")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -266,11 +268,12 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out or "") or "."
         if not os.path.isdir(out_dir):
             raise ValueError(f"--out directory {out_dir!r} does not exist")
-        if handler is cmd_dpp:
-            # both files or neither, so neither path may be a directory
-            for path in (args.out + s for s in DPP_SUFFIXES):
-                if os.path.isdir(path):
-                    raise ValueError(f"--out path {path!r} is a directory")
+        # no path a subcommand writes may be a directory, so a refused
+        # --out leaves no output and costs no computation
+        suffixes = DPP_SUFFIXES if handler is cmd_dpp else ("",)
+        for path in ((args.out or "") + s for s in suffixes):
+            if os.path.isdir(path):
+                raise ValueError(f"--out path {path!r} is a directory")
         if handler is not cmd_norm:
             # every other subcommand keeps its trees under the dense cap
             dense_cap()

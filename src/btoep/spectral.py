@@ -11,13 +11,15 @@ is a Haar-type wavelet on the tree: T_n acts on the weighted radial vectors
 weights 1_{generation k} / q^(k/2)), and each later copy on the radial
 vectors of one child subtree mixed by a sibling contrast c with
 sum_j conj(a_j) c_j = 0.  singular_values, certify_positive, block_norms
-and norming_vector therefore solve only the (k+1) x (k+1) blocks: O(n^3)
-dense work plus O(N) output, with no dense cap.  T_{k-1} is a principal
-submatrix of T_k, so by interlacing the operator norm is ||T_n|| and the
-complement of the radial block has norm ||T_{n-1}||.
+and norming_vector therefore take an operator and solve only its
+(k+1) x (k+1) blocks: O(n^3) dense work plus O(N) output, with no dense
+cap.  T_{k-1} is a principal submatrix of T_k, so by interlacing the
+operator norm is ||T_n|| and the complement of the radial block has norm
+||T_{n-1}||.
 
 The dense matrix stays the independent oracle: operator_norm_dense is the
-SVD of materialize(), the reference that sup_branching_norm and the tests
+float top singular value of materialize(), the reference that the tests
+and sup_branching_norm (on trees of up to SANDWICH_DENSE_ROWS vertices)
 measure against, and radial_blocks measures the radial block structure of
 any dense matrix for the verify suites.  operator_norm is a matrix-free
 power iteration on x -> G* G x.  Its seeded start lies in the weighted
@@ -29,17 +31,14 @@ instead of 1236 at (q, n) = (2, 14) on {0: .5, +-1: .25, +-2: .1}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .operators import BranchingOperator, dense_cap, toeplitz_dense
+from .operators import BranchingOperator, toeplitz_dense
 from .symbols import Symbol
 
 __all__ = [
-    "NormMethod",
     "SpectralReport",
     "operator_norm",
     "operator_norm_dense",
@@ -64,28 +63,12 @@ SANDWICH_TOL = 1e-9
 SANDWICH_DENSE_ROWS = 1024
 
 
-class NormMethod(Enum):
-    POWER_ITERATION = "PowerIteration"
-    DENSE_SVD = "DenseSvd"
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     norm_estimate: float
     iterations: int
     residual: float
-    method: NormMethod
     converged: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "norm": self.norm_estimate,
-                "method": self.method.value,
-                "iterations": self.iterations,
-                "residual": self.residual,
-            }
-        )
 
 
 def operator_norm(
@@ -122,22 +105,19 @@ def operator_norm(
         new_lam = float(np.real(np.vdot(x, z)))
         znorm = np.linalg.norm(z)
         if znorm == 0.0:
-            return SpectralReport(0.0, it, 0.0, NormMethod.POWER_ITERATION, True)
+            return SpectralReport(0.0, it, 0.0, True)
         change = abs(new_lam - lam) / max(abs(new_lam), np.finfo(float).tiny)
         lam = new_lam
         streak = streak + 1 if change < tol else 0
         if streak >= 3 or it == max_iter:
             residual = float(np.linalg.norm(z - lam * x) / max(lam, np.finfo(float).tiny))
-            return SpectralReport(
-                float(np.sqrt(max(lam, 0.0))), it, residual, NormMethod.POWER_ITERATION, streak >= 3
-            )
+            return SpectralReport(float(np.sqrt(max(lam, 0.0))), it, residual, streak >= 3)
         x = z * (1.0 / znorm)  # the bits of z / znorm, which numpy scales by this reciprocal
 
 
-def operator_norm_dense(op: BranchingOperator) -> SpectralReport:
+def operator_norm_dense(op: BranchingOperator) -> float:
     """Operator norm from the dense SVD of the materialized matrix."""
-    s = np.linalg.svd(op.materialize(), compute_uv=False)
-    return SpectralReport(float(s[0]), 0, 0.0, NormMethod.DENSE_SVD, True)
+    return float(np.linalg.svd(op.materialize(), compute_uv=False)[0])
 
 
 def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
@@ -232,28 +212,20 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     return BlockNorms(radial, complement, max(radial, complement))
 
 
-def certify_positive(matrix_or_op, tol: float = 1e-9):
-    """(is_psd, min_eigenvalue) of a Hermitian dense matrix or operator.
+def certify_positive(op: BranchingOperator, tol: float = 1e-9):
+    """(is_psd, min_eigenvalue) of a Hermitian operator.
 
-    The input must be Hermitian to 1e-10 entrywise and is_psd means min
-    eigenvalue >= -tol.  A dense matrix gets a dense Hermitian solve.  For
-    an operator the largest entry of M - M^* between vertices m generations
-    apart is |h(m) - conj(h(-m))| max_i |a_i|^m, and the eigenvalues are
-    those of the blocks T_k.
+    The operator must be Hermitian to 1e-10 entrywise and is_psd means min
+    eigenvalue >= -tol.  The largest entry of M - M^* between vertices m
+    generations apart is |h(m) - conj(h(-m))| max_i |a_i|^m, and the
+    eigenvalues are those of the blocks T_k.
     """
-    if isinstance(matrix_or_op, BranchingOperator):
-        f, shape = matrix_or_op.symbol, matrix_or_op.shape
-        amax = float(np.abs(matrix_or_op.weights).max())
-        herm_defect = max(abs(f.coeff(m) - f.coeff(-m).conjugate()) * amax**m for m in range(shape.depth + 1))
-        spectrum = lambda: _block_spectrum(f, shape, np.linalg.eigvalsh)
-    else:
-        M = np.asarray(matrix_or_op, dtype=complex)
-        herm_defect = np.abs(M - M.conj().T).max() if M.size else 0.0
-        spectrum = lambda: np.linalg.eigvalsh(M)
+    f, shape = op.symbol, op.shape
+    amax = float(np.abs(op.weights).max())
+    herm_defect = max(abs(f.coeff(m) - f.coeff(-m).conjugate()) * amax**m for m in range(shape.depth + 1))
     if herm_defect > HERMITIAN_TOL:
         raise ValueError(f"input is not Hermitian: defect {herm_defect}")
-    eigs = spectrum()
-    min_eig = float(eigs.min()) if eigs.size else 0.0
+    min_eig = float(_block_spectrum(f, shape, np.linalg.eigvalsh).min())
     return min_eig >= -tol, min_eig
 
 
@@ -300,17 +272,18 @@ def norming_vector(op: BranchingOperator):
 def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
     """sup over q in [2, q_max] of the uniform-weight branching norm.
 
-    Vertex counts up to SANDWICH_DENSE_ROWS (and the dense cap) use the
-    dense SVD; larger trees fall back to the matrix-free power iteration,
-    whose estimate approaches the norm from below and therefore cannot
-    fake a sandwich violation on either side (the small-q dense values
-    already anchor the lower bound).
+    The row count alone picks the algorithm: trees of up to
+    SANDWICH_DENSE_ROWS vertices use the dense SVD, which raises
+    DenseCapError over the dense cap like every dense step; larger trees
+    fall back to the matrix-free power iteration, whose estimate approaches
+    the norm from below and therefore cannot fake a sandwich violation on
+    either side (the small-q dense values already anchor the lower bound).
     """
     sup = 0.0
     for q in range(2, q_max + 1):
         op = BranchingOperator.uniform(q, n, f)
-        if op.dim <= min(SANDWICH_DENSE_ROWS, dense_cap()):
-            est = operator_norm_dense(op).norm_estimate
+        if op.dim <= SANDWICH_DENSE_ROWS:
+            est = operator_norm_dense(op)
         else:
             est = operator_norm(op, tol=1e-10, max_iter=5000).norm_estimate
         sup = max(sup, est)

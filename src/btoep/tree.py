@@ -28,9 +28,7 @@ __all__ = [
     "vertex_from_index",
     "parent",
     "ancestor",
-    "children",
     "comparability",
-    "descendants_range",
 ]
 
 
@@ -74,9 +72,6 @@ class Vertex:
             raise ValueError(f"invalid vertex ({self.generation}, {self.offset})")
 
 
-ROOT = Vertex(0, 0)
-
-
 def _check(v: Vertex, shape: TreeShape) -> None:
     if v.generation > shape.depth:
         raise ValueError(f"generation {v.generation} exceeds depth {shape.depth}")
@@ -116,14 +111,6 @@ def ancestor(v: Vertex, m: int, q: int) -> Vertex:
     return Vertex(v.generation - m, v.offset // q**m)
 
 
-def children(v: Vertex, shape: TreeShape):
-    """The q children of v, in child-index order."""
-    if v.generation >= shape.depth:
-        raise ValueError("vertex at maximal generation has no children in the truncation")
-    base = shape.q * v.offset
-    return [Vertex(v.generation + 1, base + j) for j in range(shape.q)]
-
-
 class Relation(Enum):
     EQUAL = "equal"
     U_ANCESTOR_OF_V = "u_ancestor_of_v"
@@ -156,12 +143,3 @@ def comparability(u: Vertex, v: Vertex, shape: TreeShape) -> Comparability:
         if u.offset // q**m == v.offset:
             return Comparability(Relation.V_ANCESTOR_OF_U, m)
     return Comparability(Relation.INCOMPARABLE)
-
-
-def descendants_range(v: Vertex, m: int, shape: TreeShape) -> range:
-    """Offsets at generation v.generation + m of the depth-m descendants of v."""
-    _check(v, shape)
-    if m < 0 or v.generation + m > shape.depth:
-        raise ValueError(f"generation {v.generation + m} exceeds depth {shape.depth}")
-    q = shape.q
-    return range(v.offset * q**m, (v.offset + 1) * q**m)

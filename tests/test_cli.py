@@ -119,7 +119,11 @@ class TestNorm:
         exact = float(np.linalg.norm(toeplitz_dense(Symbol.from_json(HERMITIAN), 4), 2))
         err = abs(report.norm_estimate - exact) / exact
         assert code == EXIT_OK
-        assert captured.out == report.to_json() + "\n"
+        line = json.dumps(
+            {"norm": report.norm_estimate, "method": "PowerIteration",
+             "iterations": report.iterations, "residual": report.residual}
+        )
+        assert captured.out == line + "\n"
         assert captured.err == f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}\n"
 
     @pytest.mark.parametrize("q,n", [(2, 30), (8, 9)])
@@ -489,6 +493,25 @@ class TestBadArguments:
         assert code == EXIT_INPUT
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutDirectory:
+    """An --out that names a directory is refused before any work."""
+
+    @pytest.mark.parametrize("argv, patch", [
+        (["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"], (cli, "operator_norm")),
+        (["verify", "--trials", "1"], (cli.verify_mod, "run_all")),
+        (["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"], (cli, "toeplitz_dense")),
+    ])
+    def test_exit_1_before_computing(self, argv, patch, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(*patch, lambda *a, **kw: pytest.fail(f"{argv[0]} computed"))
+        (tmp_path / "out").mkdir()
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error:") and "is a directory" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
 
 
 class TestDenseCapSetting:

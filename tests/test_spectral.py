@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from btoep import operators, spectral
 from btoep.operators import BranchingOperator, gauge_transform, toeplitz_dense
 from btoep.spectral import (
-    NormMethod,
     _radial_lift,
     block_norms,
     certify_positive,
@@ -33,7 +30,6 @@ class TestOperatorNorm:
         report = operator_norm(op)
         assert report.converged
         assert report.norm_estimate == pytest.approx(1.0, abs=1e-12)
-        assert report.method is NormMethod.POWER_ITERATION
 
     def test_skew_symbol_norm_equals_toeplitz(self):
         # the depth-1 ternary-block structure forces the norm down to the
@@ -62,7 +58,7 @@ class TestOperatorNorm:
                 power = operator_norm(op, tol=tol, max_iter=50000)
                 dense = operator_norm_dense(op)
                 assert power.converged
-                assert abs(power.norm_estimate - dense.norm_estimate) <= max(1e-7, tol)
+                assert abs(power.norm_estimate - dense) <= max(1e-7, tol)
 
     # The radial start relies on the block theorem for the norm; checked
     # against the SVD of materialize() on general unit weights, paths and
@@ -81,7 +77,7 @@ class TestOperatorNorm:
                 op = BranchingOperator.uniform(q, n, f)
             power = operator_norm(op, max_iter=50000)
             assert power.converged
-            assert abs(power.norm_estimate - operator_norm_dense(op).norm_estimate) <= 1e-7
+            assert abs(power.norm_estimate - operator_norm_dense(op)) <= 1e-7
 
     def test_radial_start_iteration_guard(self):
         # a random N-vector start takes 1236 iterations here, with relative
@@ -113,11 +109,6 @@ class TestOperatorNorm:
         op = BranchingOperator.uniform(2, 3, Symbol({0: 1}))
         with pytest.raises(ValueError, match="max_iter"):
             operator_norm(op, max_iter=max_iter)
-
-    def test_report_json_keys(self):
-        op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
-        data = json.loads(operator_norm(op).to_json())
-        assert set(data) == {"norm", "method", "iterations", "residual"}
 
     def test_zero_operator(self):
         report = operator_norm(BranchingOperator.uniform(2, 2, Symbol({})))
@@ -280,10 +271,6 @@ class TestPositivity:
         with pytest.raises(ValueError, match="Hermitian"):
             certify_positive(op)
 
-    def test_accepts_dense_matrix(self):
-        is_psd, min_eig = certify_positive(np.diag([1.0, 2.0, 0.5]))
-        assert is_psd and min_eig == pytest.approx(0.5)
-
 
 class TestSingularValues:
     def test_identity_all_ones(self):
@@ -405,6 +392,19 @@ class TestCnSandwich:
             assert report.converged
             assert abs(report.norm_estimate - exact) <= 1e-9
 
+    def test_dense_rows_alone_pick_the_dense_svd(self, monkeypatch):
+        # q = 5, n = 4 has 781 vertices, within the dense rows: dense SVD at
+        # the default cap, no power iteration
+        monkeypatch.setattr(spectral, "operator_norm", lambda *a, **kw: pytest.fail("power iteration ran"))
+        exact = np.linalg.norm(toeplitz_dense(BENCH, 4), 2)
+        assert abs(sup_branching_norm(BENCH, 4, 5) - exact) <= 1e-9
+
+    def test_dense_cap_does_not_swap_the_algorithm(self, monkeypatch):
+        # under a cap of 700 the 781-vertex tree is refused, not iterated
+        monkeypatch.setenv("BTOEP_DENSE_CAP", "700")
+        with pytest.raises(operators.DenseCapError):
+            sup_branching_norm(BENCH, 4, 5)
+
     def test_fuzzed_suite_fails_on_every_seed(self):
         # the seeds and sizes btoep verify --fuzz-entry runs for seeds 0..19
         for s in range(20):
@@ -417,7 +417,7 @@ class TestTruncationMonotonicity:
             f = random_symbol(rng, 2, case)
             bound, err = sup_norm(f)
             norms = [
-                operator_norm_dense(BranchingOperator.uniform(2, n, f)).norm_estimate
+                operator_norm_dense(BranchingOperator.uniform(2, n, f))
                 for n in range(1, 7)
             ]
             assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))

@@ -7,9 +7,7 @@ from btoep.tree import (
     TreeShape,
     Vertex,
     ancestor,
-    children,
     comparability,
-    descendants_range,
     linear_index,
     parent,
     vertex_from_index,
@@ -151,27 +149,5 @@ class TestComparability:
 
 
 class TestGenealogy:
-    def test_children_offsets(self):
-        shape = TreeShape(2, 3)
-        assert [c.offset for c in children(Vertex(1, 1), shape)] == [2, 3]
-
     def test_ancestor_at_distance(self):
         assert ancestor(Vertex(3, 5), 2, 2) == Vertex(1, 1)
-
-    def test_descendants_range_self(self):
-        assert descendants_range(Vertex(0, 0), 0, TreeShape(2, 3)) == range(0, 1)
-
-    def test_descendants_range_grandchildren(self):
-        shape = TreeShape(2, 3)
-        r = descendants_range(Vertex(1, 1), 2, shape)
-        assert r == range(4, 8)
-        # oracle: enumerate grandchildren
-        grand = [g for c in children(Vertex(1, 1), shape) for g in children(c, shape)]
-        assert sorted(g.offset for g in grand) == list(r)
-
-    def test_descendants_range_ternary(self):
-        assert descendants_range(Vertex(1, 0), 1, TreeShape(3, 2)) == range(0, 3)
-
-    def test_descendants_range_overflow(self):
-        with pytest.raises(ValueError):
-            descendants_range(Vertex(1, 0), 3, TreeShape(2, 3))
