@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from btoep import operators, spectral
+from btoep import cli, operators, spectral
 from btoep.operators import BranchingOperator, gauge_transform, toeplitz_dense
 from btoep.spectral import (
     _radial_lift,
@@ -109,6 +111,15 @@ class TestOperatorNorm:
         op = BranchingOperator.uniform(2, 3, Symbol({0: 1}))
         with pytest.raises(ValueError, match="max_iter"):
             operator_norm(op, max_iter=max_iter)
+
+    def test_report_json_keys(self, capsys):
+        # the report reaches JSON only through the norm command's output line
+        assert cli.main(["norm", "--symbol", '{"coeffs": [[0, 1, 0]]}', "--q", "2", "--n", "2"]) == cli.EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == ["norm", "method", "iterations", "residual"]
+        report = operator_norm(BranchingOperator.uniform(2, 2, Symbol({0: 1})))
+        assert data == {"norm": report.norm_estimate, "method": "PowerIteration",
+                        "iterations": report.iterations, "residual": report.residual}
 
     def test_zero_operator(self):
         report = operator_norm(BranchingOperator.uniform(2, 2, Symbol({})))
