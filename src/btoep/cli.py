@@ -98,6 +98,11 @@ def _emit(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+def _limit_exceeded(q: int, n: int, what: str, limit: int, samples: int = 1) -> int:
+    per, unit = (f" x {samples} samples", "vertex-samples") if samples > 1 else ("", "vertices")
+    return _fail(f"(q={q}, n={n}){per} is over the {what} of {limit} {unit}", EXIT_CAP_EXCEEDED)
+
+
 def _over_limit(q: int, n: int, what: str, limit: int, samples: int = 1) -> int | None:
     """Exit 5 with an error line when |B_n| x samples is over limit, else None.
 
@@ -105,8 +110,7 @@ def _over_limit(q: int, n: int, what: str, limit: int, samples: int = 1) -> int 
     over the limit and q^(n+1) is only formed for trees near it.
     """
     if (q > 1 and n >= limit.bit_length()) or TreeShape(q, n).vertex_count * samples > limit:
-        per, unit = (f" x {samples} samples", "vertex-samples") if samples > 1 else ("", "vertices")
-        return _fail(f"(q={q}, n={n}){per} is over the {what} of {limit} {unit}", EXIT_CAP_EXCEEDED)
+        return _limit_exceeded(q, n, what, limit, samples)
     return None
 
 
@@ -163,6 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_norm(args) -> int:
     if args.q < 1 or args.n < 0 or not 0 < args.tol < np.inf or args.max_iter < 1:
         return _fail("invalid numeric parameters", EXIT_INPUT)
+    # |B_0| = 1 passes any q, but the weights alone hold q entries
+    if args.q > MAX_NORM_VERTICES:
+        return _limit_exceeded(args.q, args.n, "norm limit", MAX_NORM_VERTICES)
     if code := _over_limit(args.q, args.n, "norm limit", MAX_NORM_VERTICES):
         return code
     op = BranchingOperator.uniform(args.q, args.n, args.f)

@@ -196,11 +196,11 @@ def sample_many(kernel: DppKernel, n_samples: int, seed: int):
     return [sample(kernel, s) for s in sample_seeds(n_samples, seed)]
 
 
-def _chains(kernel: DppKernel, samples: int, uniforms) -> np.ndarray:
+def _chains(kernel: DppKernel, samples: int, decide) -> np.ndarray:
     """Occupancy (samples, N) of chain draws run side by side.
 
-    uniforms(lo, hi) gives the uniforms of vertices lo..hi-1, one
-    generation, one row per sample (or one row for all of them).
+    decide(lo, hi, p) says which of vertices lo..hi-1 (one generation) are
+    taken given their marginals p: a row per sample, or one row for all.
     """
     shape, f = kernel.shape, kernel.symbol
     q, n, N, starts = shape.q, shape.depth, shape.vertex_count, shape.generation_starts
@@ -216,10 +216,8 @@ def _chains(kernel: DppKernel, samples: int, uniforms) -> np.ndarray:
     occupied = np.zeros((samples, N), dtype=bool)
     for g in range(n, -1, -1):
         lo, hi = starts[g], starts[g + 1]
-        # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
-        # rounding outside [0, 1] needs no clamp and no pivot is 0
         p = diag[:, lo:hi]
-        taken = occupied[:, lo:hi] = uniforms(lo, hi) < p
+        taken = occupied[:, lo:hi] = decide(lo, hi, p)
         rg = min(r, g)
         if not rg:
             continue
@@ -258,7 +256,9 @@ def sample_chains(kernel: DppKernel, seeds) -> list:
         U = np.empty((len(part), N))
         for row, s in zip(U, part):
             np.random.default_rng(s).random(out=row)
-        occupied = _chains(kernel, len(part), lambda lo, hi: U[:, N - hi : N - lo])
+        # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
+        # rounding outside [0, 1] needs no clamp and no pivot is 0
+        occupied = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p)
         draws += [DppSample(tuple(np.flatnonzero(row).tolist()), s) for row, s in zip(occupied, part)]
     return draws
 

@@ -72,29 +72,27 @@ def _check_cap(rows: int) -> None:
         raise DenseCapError(f"dense materialization of {rows} rows exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A point of the unit sphere in C^q."""
+    """A point of the unit sphere in C^q, held as a read-only complex array."""
 
-    entries: tuple
+    entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 1 or not arr.size:
             raise ValueError(f"weight vector must be a non-empty vector, got shape {arr.shape}")
-        ent = tuple(arr.tolist())
-        object.__setattr__(self, "entries", ent)
-        norm = np.sqrt(sum(abs(z) ** 2 for z in ent))
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+        # pairwise: a sequential sum drifts past the tolerance near q = 10^5
+        norm = np.sqrt(np.sum(np.abs(arr) ** 2))
         # written so that a NaN norm fails it too
         if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:
             raise ValueError(f"weight vector norm {norm} differs from 1 by more than {WEIGHT_NORM_TOL}")
 
     @property
     def q(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=complex)
+        return self.entries.size
 
 
 class _Kernel:
@@ -110,7 +108,6 @@ class _Kernel:
         q, d = weights.shape[:2]
         if q != shape.q:
             raise ValueError(f"{q} weights for a tree of arity {shape.q}")
-        weights.flags.writeable = False
         self.weights = weights
         self.shape = shape
         self.symbol = symbol
@@ -216,7 +213,7 @@ class BranchingOperator:
             weights = WeightVector(weights)
         self.shape = shape
         self.symbol = symbol
-        self._kernel = _Kernel(weights.as_array().reshape(-1, 1, 1), shape, symbol)
+        self._kernel = _Kernel(weights.entries.reshape(-1, 1, 1), shape, symbol)
         self.uniform = self._kernel.uniform
 
     @classmethod

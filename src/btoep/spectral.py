@@ -59,7 +59,6 @@ HERMITIAN_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-12
 RADIAL_TOL = 1e-8
 NORM_TIE_TOL = 1e-10
-SANDWICH_TOL = 1e-9
 SANDWICH_DENSE_ROWS = 1024
 
 
@@ -264,9 +263,9 @@ def norming_vector(op: BranchingOperator):
         if np.linalg.norm(proj) > 1e-8:
             w = proj / np.linalg.norm(proj)
     vec = _radial_lift(op, w)
-    H = radial_basis(op.shape)
-    resid = np.linalg.norm(vec - H @ (H.T @ vec))
-    return vec, achieved, bool(resid <= RADIAL_TOL)
+    starts = op.shape.generation_starts
+    spread = max(np.abs(vec[lo:hi] - vec[lo]).max() for lo, hi in zip(starts, starts[1:]))
+    return vec, achieved, bool(spread <= RADIAL_TOL)
 
 
 def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
@@ -295,16 +294,12 @@ def cn_sandwich(f: Symbol, n: int, q_max: int):
 
     The minimal sup-norm of any extension matching the first n coefficient
     pairs is sandwiched between the Toeplitz norm and three times it, and
-    every branching norm is a lower bound for it; those inequalities are
-    asserted here (tolerance 1e-9).
+    every branching norm is a lower bound for it.  This measures both
+    sides; the cn_sandwich suite of btoep.verify judges the inequalities.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     t_norm = float(np.linalg.norm(toeplitz_dense(f, n), 2))
     sup = sup_branching_norm(f, n, q_max)
-    if not (t_norm - SANDWICH_TOL <= sup <= 3 * t_norm + SANDWICH_TOL):
-        raise AssertionError(
-            f"sandwich violated: toeplitz={t_norm}, sup branching={sup}"
-        )
     ratio = sup / t_norm if t_norm > 0 else 1.0
     return t_norm, sup, ratio

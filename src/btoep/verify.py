@@ -3,8 +3,9 @@
 Each suite draws seeded random symbols, measures the residual of one
 identity over a fixed (q, n) sweep, and reports pass/fail against the
 fixed tolerance for that identity.  The CLI runs them all and maps any
-failure to a nonzero exit; fuzz=True injects a small perturbation into a
-measured matrix as a negative control, proving the harness can fail.
+failure to a nonzero exit.  fuzz=True, the negative control, adds 1e-3 to
+M[0, -1] of a measured matrix (cn_sandwich: scales ||T_n|| by 1 + 1e-3);
+all suites but fejer_positivity then fail; eigvalsh never reads M[0, -1].
 
 Every suite sweeps q over (2, 3) and n over a fixed range: radial
 compression n = 1..6, block decomposition and positivity 1..5, case
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BranchingOperator, toeplitz_dense
-from .spectral import radial_blocks, radial_compress, singular_values, sup_branching_norm
+from .spectral import cn_sandwich, radial_blocks, radial_compress, singular_values
 from .symbols import Symbol, fejer_kernel, poly_product
 
 __all__ = [
@@ -210,13 +211,11 @@ def run_cn_sandwich(seed=5, trials=20, fuzz=False) -> SuiteResult:
     for _ in range(trials):
         n = int(rng.integers(1, 5))
         f = random_symbol(rng, rng.integers(1, n + 1))
-        T = toeplitz_dense(f, n)
+        t_norm, sup, _ = cn_sandwich(f, n, 5)
         # the sup equals ||T_n|| exactly, so only a fuzz that raises the
-        # norm can show, and scaling T_n by 1 + 1e-3 always does
-        t_norm = float(np.linalg.norm(T * (1 + 1e-3) if fuzz else T, 2))
-        sup = sup_branching_norm(f, n, 5)
-        violation = max(t_norm - sup, sup - 3 * t_norm, 0.0)
-        worst = max(worst, violation)
+        # norm can show, and scaling ||T_n|| by 1 + 1e-3 always does
+        t_norm *= 1 + 1e-3 if fuzz else 1
+        worst = max(worst, t_norm - sup, sup - 3 * t_norm)
     return SuiteResult("cn_sandwich", worst <= tol, worst, tol)
 
 

@@ -138,6 +138,20 @@ class TestNorm:
         assert captured.err.startswith("error:") and str(cli.MAX_NORM_VERTICES) in captured.err
         assert captured.out == ""
 
+    def test_wide_tree_weights_accepted(self, capsys):
+        # 200,001 vertices: the norm of 200,000 equal weights stays within 1e-12 of 1
+        assert main(["norm", "--symbol", HERMITIAN, "--q", "200000", "--n", "1"]) == EXIT_OK
+        norm = json.loads(capsys.readouterr().out)["norm"]
+        assert abs(norm - np.linalg.norm(toeplitz_dense(Symbol.from_json(HERMITIAN), 1), 2)) <= 1e-9
+
+    def test_width_bounded_at_depth_zero(self, capsys, monkeypatch):
+        # |B_0| = 1 passes any q, but q over the limit is refused before the q weights exist
+        monkeypatch.setattr(cli, "MAX_NORM_VERTICES", 10)
+        monkeypatch.setattr(BranchingOperator, "uniform", lambda *a, **kw: pytest.fail("weights allocated"))
+        for n in (0, 1):
+            assert main(["norm", "--symbol", CONST_ONE, "--q", "11", "--n", str(n)]) == EXIT_CAP_EXCEEDED
+            assert capsys.readouterr() == ("", f"error: (q=11, n={n}) is over the norm limit of 10 vertices\n")
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):

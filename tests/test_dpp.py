@@ -400,35 +400,17 @@ RADIUS3 = Symbol({-3: -0.08 - 0.03j, -2: -0.05j, -1: 0.1 - 0.05j, 0: 0.5,
                   1: 0.1 + 0.05j, 2: 0.05j, 3: -0.08 + 0.03j})
 
 
-class _Path:
-    """What _PathRng.random returns: compared with the marginals p, it
-    gives the path's decisions for those vertices and multiplies up the
-    probability the sampler gave them."""
+def _replay(kernel, bits):
+    """Run the chain recursion on one decision path, bit i saying whether
+    vertex i is taken: (its points, the probability the sampler gives it)."""
+    prob = 1.0
 
-    def __init__(self, rng, bits):
-        self.rng, self.bits = rng, bits
+    def decide(lo, hi, p):
+        nonlocal prob
+        prob *= np.where(bits[lo:hi], p, 1 - p).prod()
+        return bits[lo:hi]
 
-    def __lt__(self, p):
-        self.rng.prob *= np.where(self.bits, p, 1 - p).prod()
-        return self.bits
-
-
-class _PathRng:
-    """Stands in for the generator of the chain sampler and plays one
-    decision path: bit i says whether vertex i is taken.  The sampler asks
-    for one generation at a time, deepest first."""
-
-    def __init__(self, bits):
-        self.bits, self.end, self.prob = bits, bits.size, 1.0
-
-    def random(self, size):
-        self.end -= size
-        return _Path(self, self.bits[self.end : self.end + size])
-
-
-def _play(kernel, rng):
-    """Points of the chain draw that asks rng for its uniforms."""
-    return np.flatnonzero(dpp._chains(kernel, 1, lambda lo, hi: rng.random(hi - lo))).tolist()
+    return np.flatnonzero(dpp._chains(kernel, 1, decide)).tolist(), prob
 
 
 def _set_laws(K):
@@ -456,9 +438,8 @@ class TestChainExactLaw:
         sets, law = _set_laws(kernel.matrix)
         probs = np.empty(law.size)
         for i, bits in enumerate(sets):
-            rng = _PathRng(bits)
-            assert _play(kernel, rng) == np.flatnonzero(bits).tolist()
-            probs[i] = rng.prob
+            points, probs[i] = _replay(kernel, bits)
+            assert points == np.flatnonzero(bits).tolist()
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.abs(probs - law).max() <= 1e-12
 
@@ -471,10 +452,10 @@ class TestChainExactLaw:
             points = dpp.sample_chain(kernel, seed).occupied
             bits = np.zeros(kernel.dim, dtype=bool)
             bits[list(points)] = True
-            rng = _PathRng(bits)
-            assert tuple(_play(kernel, rng)) == points
+            replayed, prob = _replay(kernel, bits)
+            assert tuple(replayed) == points
             _, logdet = np.linalg.slogdet(kernel.matrix - np.diag(~bits * 1.0))
-            assert abs(np.log(rng.prob) - logdet) <= 1e-12
+            assert abs(np.log(prob) - logdet) <= 1e-12
 
 
 class TestSampleChain:
@@ -498,9 +479,9 @@ class TestSampleChain:
         # radius 3 on depth 1: only the parent band exists
         kernel = build_kernel(RADIUS3, 4, 1)
         bits = np.zeros(5, dtype=bool)
-        rng = _PathRng(bits)
-        assert _play(kernel, rng) == []
-        assert rng.prob == pytest.approx(abs(np.linalg.det(kernel.matrix - np.eye(5))), abs=1e-15)
+        points, prob = _replay(kernel, bits)
+        assert points == []
+        assert prob == pytest.approx(abs(np.linalg.det(kernel.matrix - np.eye(5))), abs=1e-15)
 
     def test_zero_symbol_no_points(self):
         kernel = build_kernel(Symbol({}), 2, 3)

@@ -15,15 +15,7 @@ from btoep.operators import (
 from btoep.spectral import block_norms, radial_compress
 from btoep.symbols import Symbol
 from btoep.tree import Relation, TreeShape, Vertex, comparability, vertex_from_index
-
-
-def random_symbol(rng, radius):
-    return Symbol({int(k): complex(*rng.uniform(-1, 1, 2)) for k in range(-radius, radius + 1)})
-
-
-def random_weights(rng, q):
-    w = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-    return w / np.linalg.norm(w)
+from btoep.verify import random_symbol, random_unit_weights
 
 
 class TestWeights:
@@ -45,6 +37,11 @@ class TestWeights:
         w = WeightVector((0.6, 0.8j))
         op = BranchingOperator.with_weights(w, 2, Symbol({0: 1}))
         assert op.shape.q == 2 and not op.uniform
+
+    @pytest.mark.parametrize("q", [100500, 200000, 10**6])
+    def test_wide_uniform_vector_accepted(self, q):
+        # a sequential sum of q equal squares drifts past the 1e-12 tolerance
+        assert WeightVector(np.full(q, q**-0.5)).q == q
 
     def test_uniform_weights(self):
         op = BranchingOperator.uniform(4, 2, Symbol({0: 1}))
@@ -80,7 +77,7 @@ class TestUniformFlag:
         f = random_symbol(rng, 2)
         for op, uniform in (
             (BranchingOperator.uniform(q, 3, f), True),
-            (BranchingOperator.with_weights(random_weights(rng, q), 3, f), False),
+            (BranchingOperator.with_weights(random_unit_weights(rng, q), 3, f), False),
         ):
             assert op.uniform is uniform
             assert op.adjoint().uniform is uniform
@@ -127,7 +124,7 @@ class TestEntry:
     def test_entry_conjugate_symmetry(self):
         rng = np.random.default_rng(1)
         f = random_symbol(rng, 2)
-        a = random_weights(rng, 2)
+        a = random_unit_weights(rng, 2)
         op = BranchingOperator.with_weights(a, 3, f)
         adj = op.adjoint()
         shape = op.shape
@@ -168,7 +165,7 @@ class TestApply:
             f = random_symbol(rng, radius)
             for op in (
                 BranchingOperator.uniform(q, n, f),
-                BranchingOperator.with_weights(random_weights(rng, q), n, f),
+                BranchingOperator.with_weights(random_unit_weights(rng, q), n, f),
             ):
                 M = op.materialize()
                 X = rng.standard_normal((op.dim, 100)) + 1j * rng.standard_normal((op.dim, 100))
@@ -219,7 +216,7 @@ class TestAdjoint:
     def test_adjoint_matches_dense_conjugate_transpose(self):
         rng = np.random.default_rng(4)
         f = random_symbol(rng, 2)
-        a = random_weights(rng, 3)
+        a = random_unit_weights(rng, 3)
         op = BranchingOperator.with_weights(a, 3, f)
         M = op.materialize()
         assert np.allclose(op.adjoint().materialize(), M.conj().T, atol=1e-14)
@@ -320,7 +317,7 @@ class TestGauge:
     def test_entrywise_phase_identity(self):
         rng = np.random.default_rng(7)
         f = random_symbol(rng, 2)
-        a = random_weights(rng, 2)
+        a = random_unit_weights(rng, 2)
         op = BranchingOperator.with_weights(a, 3, f)
         t = 0.9
         g = gauge_transform(op, t)
@@ -350,7 +347,7 @@ class TestOperatorValued:
     def test_scalar_degeneration(self):
         rng = np.random.default_rng(9)
         f = random_symbol(rng, 2)
-        a = random_weights(rng, 2)
+        a = random_unit_weights(rng, 2)
         A = OperatorTuple(a.reshape(2, 1, 1))
         op = BranchingOperator.with_weights(a, 3, f)
         shape = TreeShape(2, 3)

@@ -384,6 +384,14 @@ class TestCnSandwich:
         result = run_cn_sandwich()
         assert result.passed, result
 
+    def test_violation_fails_the_suite(self, monkeypatch):
+        # a sup over 3 ||T_n|| is a failed suite and exit 3, not an exception
+        monkeypatch.setattr(
+            spectral, "sup_branching_norm", lambda f, n, q_max: 4 * float(np.linalg.norm(toeplitz_dense(f, n), 2))
+        )
+        assert not run_cn_sandwich(seed=5, trials=5).passed
+        assert cli.main(["verify", "--trials", "1"]) == cli.EXIT_VERIFY_FAILED
+
 
     def test_power_fallback_returns_toeplitz_norm(self, monkeypatch):
         # q = 6..8 at n = 4 have 1555, 2801 and 4681 vertices, over the dense
