@@ -47,9 +47,7 @@ class TreeShape:
 
     @cached_property
     def vertex_count(self) -> int:
-        if self.q == 1:
-            return self.depth + 1
-        return (self.q ** (self.depth + 1) - 1) // (self.q - 1)
+        return self.generation_start(self.depth + 1)
 
     def generation_start(self, g: int) -> int:
         """Linear index of the first vertex of generation g."""

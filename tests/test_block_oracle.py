@@ -1,11 +1,13 @@
 """The structured routes of btoep against the dense oracle materialize().
 
 singular_values, certify_positive, block_norms and norming_vector solve
-only the Toeplitz blocks T_k.  Each is checked here against a dense solve
-of materialize() on random (q, n, weights, symbol), q = 1, n = 0, the
-empty symbol and support radius above n included.  Coefficients are
-multiples of 1/8, so a non-Hermitian symbol is non-Hermitian by far more
-than the 1e-10 tolerance, and both checks must reach the same decision.
+only the Toeplitz blocks T_k, and radial_compress and block_norms apply
+the operator to the weighted radial basis.  Each is checked here against
+a dense solve of materialize() on random (q, n, weights, symbol), q = 1,
+n = 0, the empty symbol and support radius above n included.
+Coefficients are multiples of 1/8, so a non-Hermitian symbol is
+non-Hermitian by far more than the 1e-10 tolerance, and both checks must
+reach the same decision.
 The matrix-free apply, the apply of its adjoint() and entry are checked
 against the same matrix, and the uniform matrix of a Hermitian symbol is
 exactly self-adjoint, which btoep.dpp.build_kernel relies on.  The
@@ -19,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btoep.operators import BranchingOperator, OperatorTuple, _Kernel, op_valued_materialize
+from btoep.operators import BranchingOperator, OperatorTuple, _Kernel, op_valued_materialize, toeplitz_dense
 from btoep.spectral import (
+    _radial_basis,
     block_norms,
     certify_positive,
     norming_vector,
     radial_blocks,
+    radial_compress,
     singular_values,
 )
 from btoep.symbols import Symbol, SymbolClass, classify
@@ -106,6 +110,23 @@ def test_block_norms_match_radial_blocks(op):
     assert abs(got.radial - expected.radial) <= 1e-12
     assert abs(got.complement - expected.complement) <= 1e-12
     assert abs(got.total - expected.total) <= 1e-12
+
+
+@ORACLE
+@given(operators())
+def test_radial_routes_match_dense_on_both_weight_kinds(op):
+    # radial_blocks splits along the uniform radial basis only, so the
+    # weighted complement is measured on the projector of the weighted one
+    f, n = op.symbol, op.shape.depth
+    assert np.abs(radial_compress(op) - toeplitz_dense(f, n)).max() <= 1e-12
+    got = block_norms(op)
+    M = op.materialize()
+    dense = np.linalg.norm(M, 2)
+    assert abs(got.radial - dense) <= 1e-12
+    assert abs(got.total - dense) <= 1e-12
+    E = _radial_basis(op)
+    Q = np.eye(op.dim) - E @ E.conj().T
+    assert abs(got.complement - np.linalg.norm(Q @ M @ Q, 2)) <= 1e-12
 
 
 @ORACLE

@@ -138,6 +138,21 @@ class TestNorm:
         assert captured.err.startswith("error:") and str(cli.MAX_NORM_VERTICES) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("f", [
+        '{"coeffs": [[0, 1e155, 0]]}',
+        '{"coeffs": [[-1, 1e-200, 0], [0, 3e-200, 0], [1, 1e-200, 0]]}',
+        '{"coeffs": [[0, 1e-310, 0]]}',
+    ])
+    def test_symbol_scale_out_of_square_range(self, f, capsys):
+        # M^* M of these symbols over- or underflows a double; an overflow
+        # warning or an exception fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["norm", "--symbol", f, "--q", "3", "--n", "6"])
+        exact = float(np.linalg.norm(toeplitz_dense(Symbol.from_json(f), 6), 2))
+        assert code == EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["norm"] - exact) <= 1e-9 * exact
+
     def test_wide_tree_weights_accepted(self, capsys):
         # 200,001 vertices: the norm of 200,000 equal weights stays within 1e-12 of 1
         assert main(["norm", "--symbol", HERMITIAN, "--q", "200000", "--n", "1"]) == EXIT_OK

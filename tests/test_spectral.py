@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestOperatorNorm:
         report = operator_norm(BranchingOperator.uniform(2, 2, Symbol({})))
         assert report.norm_estimate == 0.0 and report.converged
 
+    @pytest.mark.parametrize("p", [600, -600])
+    def test_power_of_two_scale_is_exact(self, p):
+        # M^* M at 2^1200 or 2^-1200 leaves the float range; the estimate
+        # must scale by exactly 2^p, with the same steps and residual
+        f = Symbol({-1: 0.3 + 0.1j, 0: 0.5, 1: 0.25, 2: 0.1j})
+        g = Symbol({k: complex(math.ldexp(c.real, p), math.ldexp(c.imag, p)) for k, c in f.coeffs.items()})
+        weights = random_unit_weights(np.random.default_rng(31), 3)
+        for make in (lambda h: BranchingOperator.uniform(2, 6, h), lambda h: BranchingOperator.with_weights(weights, 4, h)):
+            base, scaled = operator_norm(make(f)), operator_norm(make(g))
+            assert scaled.norm_estimate == math.ldexp(base.norm_estimate, p)
+            assert (scaled.iterations, scaled.residual, scaled.converged) == (base.iterations, base.residual, True)
+
 
 def power_reference(M, shape, tol, max_iter, seed):
     """operator_norm's power loop on the dense matrix M of a uniform-weight
@@ -216,11 +229,10 @@ class TestRadialCompression:
         op = BranchingOperator.uniform(3, 5, f)
         assert np.abs(radial_compress(op) - toeplitz_dense(f, 5)).max() <= 1e-12
 
-    def test_refuses_non_uniform(self):
+    def test_weighted_matches_toeplitz(self):
         rng = np.random.default_rng(22)
         op = BranchingOperator.with_weights(random_unit_weights(rng, 2), 3, Symbol({0: 1}))
-        with pytest.raises(ValueError, match="uniform"):
-            radial_compress(op)
+        assert np.abs(radial_compress(op) - toeplitz_dense(op.symbol, 3)).max() <= 1e-12
 
     def test_basis_orthonormal(self):
         H = radial_basis(BranchingOperator.uniform(3, 4, Symbol({0: 1})).shape)
@@ -281,6 +293,14 @@ class TestPositivity:
         op = BranchingOperator.uniform(2, 2, Symbol({1: 1}))
         with pytest.raises(ValueError, match="Hermitian"):
             certify_positive(op)
+
+    def test_reads_t_n_alone(self, monkeypatch):
+        # N = 33,554,431: an array over the blocks would take 268 MB
+        monkeypatch.setattr(spectral, "_block_spectrum", lambda *a: pytest.fail("block sweep"))
+        f = Symbol({-2: 0.1, -1: 0.3 - 0.2j, 0: 1, 1: 0.3 + 0.2j, 2: 0.1})
+        is_psd, min_eig = certify_positive(BranchingOperator.uniform(2, 24, f))
+        assert min_eig == np.linalg.eigvalsh(toeplitz_dense(f, 24))[0]
+        assert is_psd == (min_eig >= -1e-9)
 
 
 class TestSingularValues:
