@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from btoep.operators import BranchingOperator, OperatorTuple, _Kernel, op_valued_materialize, toeplitz_dense
 from btoep.spectral import (
-    _radial_basis,
+    _radial_lift,
     block_norms,
     certify_positive,
     norming_vector,
@@ -124,7 +124,7 @@ def test_radial_routes_match_dense_on_both_weight_kinds(op):
     dense = np.linalg.norm(M, 2)
     assert abs(got.radial - dense) <= 1e-12
     assert abs(got.total - dense) <= 1e-12
-    E = _radial_basis(op)
+    E = np.stack([_radial_lift(op, c) for c in np.eye(op.shape.depth + 1)], axis=1)
     Q = np.eye(op.dim) - E @ E.conj().T
     assert abs(got.complement - np.linalg.norm(Q @ M @ Q, 2)) <= 1e-12
 

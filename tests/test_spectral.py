@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,56 @@ class TestBlockNorms:
         op = BranchingOperator.uniform(3, 6, Symbol({-1: 0.3 + 0.1j, 0: 0.5, 1: 0.25, 2: 0.1j}))
         assert block_norms(op).total > 0
         assert len(built) == 1
+
+    CHECKED = Symbol({-1: 0.3 + 0.1j, 0: 0.5, 1: 0.25, 2: 0.1j})
+
+    @classmethod
+    def checked_operator(cls, weighted, p=0, q=3, n=6):
+        """The CHECKED symbol times 2^p on (q, n), uniform or seeded weights."""
+        f = Symbol({k: complex(math.ldexp(c.real, p), math.ldexp(c.imag, p)) for k, c in cls.CHECKED.coeffs.items()})
+        if weighted:
+            return BranchingOperator.with_weights(random_unit_weights(np.random.default_rng(32), q), n, f)
+        return BranchingOperator.uniform(q, n, f)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [40, -40])
+    def test_verdict_is_scale_free(self, p, weighted):
+        # an absolute 1e-12 refused the correct operator once its
+        # coefficients reached 1e4 (random weights) or 1e6 (both kinds)
+        base, scaled = block_norms(self.checked_operator(weighted)), block_norms(self.checked_operator(weighted, p))
+        assert (scaled.radial, scaled.complement) == (math.ldexp(base.radial, p), math.ldexp(base.complement, p))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [0, 40, -40])
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            # leaves the radial subspace: one entry on the last vertex
+            lambda y, scale: np.concatenate([y[:-1], y[-1:] + 1e-9 * scale]),
+            # stays in it, but the radial block is (1 + 1e-9) T_n, not T_n
+            lambda y, scale: y * (1 + 1e-9),
+        ],
+        ids=["off_radial", "scaled_block"],
+    )
+    def test_refuses_a_broken_apply(self, defect, p, weighted, monkeypatch):
+        # the defect is relative to the symbol's scale 2^p, as the check is
+        apply = operators._Kernel.apply
+        monkeypatch.setattr(operators._Kernel, "apply", lambda self, x: defect(apply(self, x), math.ldexp(1.0, p)))
+        with pytest.raises(AssertionError, match="cross block"):
+            block_norms(self.checked_operator(weighted, p))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_memory_is_a_few_vectors(self, weighted):
+        # N = 32,767; stacking the radial basis and its two images took
+        # 67-75 vectors of 16 N bytes
+        op = self.checked_operator(weighted, q=2, n=14)
+        tracemalloc.start()
+        try:
+            block_norms(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * op.dim
 
 
 class TestPositivity:
