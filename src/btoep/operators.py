@@ -134,12 +134,15 @@ class _Kernel:
         return self.symbol.coeff(rel.distance) * self._path(u.offset, rel.distance)
 
     def apply(self, x) -> np.ndarray:
-        """Kernel times a vertex-major vector of |B_n| d entries."""
+        """Kernel times a vertex-major vector of |B_n| d entries, or times each
+        row of a (k, |B_n| d) stack of them.  The stack is a leading axis, so
+        every row takes the same products and loops as a vector alone."""
         shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
         x = np.asarray(x, dtype=complex)
-        if x.shape != (shape.vertex_count * d,):
+        if x.ndim not in (1, 2) or x.shape[-1] != shape.vertex_count * d:
             raise ValueError(f"expected vector of length {shape.vertex_count * d}, got shape {x.shape}")
-        x = x.reshape(-1, d)
+        lead = x.shape[:-1]
+        x = x.reshape(*lead, -1, d)
         starts = shape.generation_starts
         coeff = self.symbol.coeff
         radius = min(n, self.symbol.support_radius)
@@ -154,25 +157,25 @@ class _Kernel:
         # Uniform weights fold q^(-i/2) into S_i: each A_j step is a broadcast.
         def level(i):
             c = coeff(i) * (q ** (-i / 2) if self.uniform else 1.0)
-            return c * x[: starts[n - i + 1]]
+            return c * x[..., : starts[n - i + 1], :]
 
         r = max((m for m in range(1, radius + 1) if coeff(m) != 0), default=0)
         y = level(r)
         for i in range(r - 1, -1, -1):
             S, y = y, level(i)
-            children = y[1:].reshape(-1, q, d)
-            children += S[:, None, :] if self.uniform else (S @ up).reshape(-1, q, d)
+            children = y[..., 1:, :].reshape(*lead, -1, q, d)
+            children += S[..., None, :] if self.uniform else (S @ up).reshape(*lead, -1, q, d)
 
         # descendant sums: D holds, per surviving vertex, the adjoint
         # path-weighted sum of x over its depth-m descendants
         D = x
         for m in range(1, radius + 1):
-            D = D[1:].reshape(-1, q * d) @ down
+            D = D[..., 1:, :].reshape(*lead, -1, q * d) @ down
             c = coeff(-m)
             if c != 0:
-                y[: D.shape[0]] += c * D
+                y[..., : D.shape[-2], :] += c * D
 
-        return y.reshape(-1)
+        return y.reshape(*lead, -1)
 
     def materialize(self) -> np.ndarray:
         """Dense (|B_n| d) x (|B_n| d) matrix of d x d blocks."""
@@ -243,7 +246,8 @@ class BranchingOperator:
         return self._kernel.entry(u, v)[0, 0]
 
     def apply(self, x) -> np.ndarray:
-        """y[u] = sum_v entry(u, v) x[v] without forming the matrix."""
+        """y[u] = sum_v entry(u, v) x[v] without forming the matrix; a
+        (k, |B_n|) stack gives the k products, one per row."""
         return self._kernel.apply(x)
 
     def materialize(self) -> np.ndarray:

@@ -15,8 +15,11 @@ and norming_vector therefore take an operator and solve only its
 (k+1) x (k+1) blocks: O(n^3) dense work plus O(N) output, with no dense
 cap.  T_{k-1} is a principal submatrix of T_k, so by interlacing the
 operator norm is ||T_n||, the complement of the radial block has norm
-||T_{n-1}|| and a Hermitian operator's smallest eigenvalue is T_n's.
-radial_compress and block_norms apply M to each weighted radial column.
+||T_{n-1}|| and a Hermitian operator's smallest eigenvalue is T_n's, so
+each spectrum builds T_n once and solves its leading sections.
+radial_compress applies M to the weighted radial columns in one stacked
+product, and block_norms in chunks of columns within a fixed byte budget,
+one column at a time at large N.
 
 The dense matrix stays the independent oracle: operator_norm_dense is the
 float top singular value of materialize(), the reference that the tests
@@ -61,6 +64,8 @@ CROSS_BLOCK_TOL = 1e-12
 RADIAL_TOL = 1e-8
 NORM_TIE_TOL = 1e-10
 SANDWICH_DENSE_ROWS = 1024
+# bytes of lifted columns per stacked product in block_norms' check
+CHECK_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,11 @@ def operator_norm_dense(op: BranchingOperator) -> float:
 
 def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
     """solve(T_k) of each Toeplitz block T_k of the decomposition, repeated
-    by its multiplicity, in one array."""
+    by its multiplicity, in one array; each T_k is the leading section of T_n."""
     q, n = shape.q, shape.depth
+    T = toeplitz_dense(f, n)
     blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
-    return np.concatenate([np.repeat(solve(toeplitz_dense(f, k)), mult) for k, mult in blocks])
+    return np.concatenate([np.repeat(solve(T[: k + 1, : k + 1]), mult) for k, mult in blocks])
 
 
 def singular_values(op: BranchingOperator) -> np.ndarray:
@@ -158,13 +164,14 @@ def radial_basis(shape) -> np.ndarray:
 
 
 def radial_compress(op: BranchingOperator) -> np.ndarray:
-    """Compression E^* M E to the weighted radial subspace, from n+1
-    products with M; equals the Toeplitz matrix of the symbol."""
+    """Compression E^* M E to the weighted radial subspace, from one stacked
+    product of M with the n+1 columns; equals the Toeplitz matrix of the symbol."""
     if op.uniform:  # the exact q^(-k/2) of the uniform kernel: btoep verify prints this residual
         E = radial_basis(op.shape)
     else:
         E = np.stack([_radial_lift(op, c) for c in np.eye(op.shape.depth + 1)], axis=1)
-    return E.conj().T @ np.stack([op.apply(c) for c in E.T], axis=1)
+    # the images in np.stack(axis=1)'s row-major layout, so the product keeps its bits
+    return E.conj().T @ np.ascontiguousarray(op.apply(E.T).T)
 
 
 @dataclass(frozen=True)
@@ -198,26 +205,31 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     complement, ||T_{n-1}|| (0 when q = 1 or n = 0); total is the larger.
 
     Checks the block theorem they rest on, M E = E T_n and M^* E = E T_n^*
-    on the weighted radial basis E, one lifted column at a time in O(N)
-    memory, to CROSS_BLOCK_TOL sum_{|k| <= n} |h(k)|, a bound on ||M||.
+    on the weighted radial basis E, to CROSS_BLOCK_TOL sum_{|k| <= n} |h(k)|,
+    a bound on ||M||.  The lifted columns go through one stacked product per
+    side in chunks of CHECK_CHUNK_BYTES, one column at a time at large N, so
+    the check holds O(N) memory.
     """
     f, n = op.symbol, op.shape.depth
     T = toeplitz_dense(f, n)
     bound = CROSS_BLOCK_TOL * (np.abs(T[:, 0]).sum() + np.abs(T[0, 1:]).sum())
-    # E c is np.repeat(c, sizes) times E 1, whose generation k is the k-fold Kronecker power
-    flat, sizes = _radial_lift(op, np.ones(n + 1)), np.diff(op.shape.generation_starts)
+    # E c is np.repeat(c, sizes) times E 1, whose generation k is the k-fold
+    # Kronecker power; E 1 is a (1, N) row, so a one-column chunk's repeated
+    # image has its shape and numpy multiplies into it in place
+    flat, sizes = _radial_lift(op, np.ones(n + 1))[None, :], np.diff(op.shape.generation_starts)
     adjoint = op.adjoint()
+    step = max(1, CHECK_CHUNK_BYTES // (16 * op.dim))
     cross = 0.0
-    for k, e in enumerate(np.eye(n + 1)):
-        x = np.repeat(e, sizes) * flat
+    for lo in range(0, n + 1, step):
+        x = np.repeat(np.eye(n + 1)[lo : lo + step], sizes, axis=1) * flat
         for A, B in ((op, T), (adjoint, T.conj().T)):
             residual = A.apply(x)
-            residual -= np.repeat(B[:, k], sizes) * flat
+            residual -= np.repeat(B[:, lo : lo + step].T, sizes, axis=1) * flat
             cross = max(cross, np.abs(residual).max())
     if cross > bound:
         raise AssertionError(f"cross block of size {cross} exceeds {bound}")
     radial = float(np.linalg.norm(T, 2))
-    complement = float(np.linalg.norm(toeplitz_dense(f, n - 1), 2)) if op.shape.q > 1 and n > 0 else 0.0
+    complement = float(np.linalg.norm(T[:n, :n], 2)) if op.shape.q > 1 and n > 0 else 0.0
     return BlockNorms(radial, complement, max(radial, complement))
 
 
@@ -247,7 +259,9 @@ def _radial_lift(op: BranchingOperator, c: np.ndarray) -> np.ndarray:
     column = np.ones(1, dtype=complex)
     np.multiply(c[0], column, out=vec[:1])
     for k in range(1, op.shape.depth + 1):
-        column = np.kron(column, op.weights)
+        # the operands np.kron multiplies, without its per-call overhead; a
+        # 1-D weights operand would change bits at q = 1
+        column = (column[:, None] * op.weights[None, :]).ravel()
         np.multiply(c[k], column, out=vec[starts[k] : starts[k + 1]])
     return vec
 

@@ -182,6 +182,61 @@ class TestApply:
             op.apply(np.zeros(3))
 
 
+class TestStackedApply:
+    """apply() of a (k, N d) stack is the k products, each row with the bits
+    of the same row applied alone."""
+
+    @staticmethod
+    def stack(rng, k, length):
+        return rng.standard_normal((k, length)) + 1j * rng.standard_normal((k, length))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_rows_are_the_vector_products(self, q):
+        rng = np.random.default_rng(40 + q)
+        for n in range(7):
+            for radius in range(4):
+                f = random_symbol(rng, radius)
+                for op in (
+                    BranchingOperator.uniform(q, n, f),
+                    BranchingOperator.with_weights(random_unit_weights(rng, q), n, f),
+                ):
+                    X = self.stack(rng, 3, op.dim)
+                    Y = op.apply(X)
+                    assert Y.shape == X.shape
+                    for x, y in zip(X, Y):
+                        assert np.array_equal(y, op.apply(x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_operator_valued_rows_are_the_vector_products(self, d):
+        rng = np.random.default_rng(50 + d)
+        for q in (1, 2, 3):
+            for n in range(5):
+                A = rng.standard_normal((q, d, d)) + 1j * rng.standard_normal((q, d, d))
+                kernel = _Kernel(A, TreeShape(q, n), random_symbol(rng, 2))
+                X = self.stack(rng, 3, kernel.shape.vertex_count * d)
+                Y = kernel.apply(X)
+                for x, y in zip(X, Y):
+                    assert np.array_equal(y, kernel.apply(x))
+
+    @pytest.mark.parametrize("q,n", [(1, 5), (2, 4), (3, 3)])
+    def test_matches_dense(self, q, n):
+        rng = np.random.default_rng(60 + q)
+        f = random_symbol(rng, 3)
+        for op in (
+            BranchingOperator.uniform(q, n, f),
+            BranchingOperator.with_weights(random_unit_weights(rng, q), n, f),
+        ):
+            X = self.stack(rng, 4, op.dim)
+            dense = (op.materialize() @ X.T).T
+            assert np.abs(op.apply(X) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 7), (2, 8), (1, 6), (0,)])
+    def test_rejects_other_shapes(self, shape):
+        op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
+        with pytest.raises(ValueError, match="expected vector of length 7"):
+            op.apply(np.zeros(shape))
+
+
 class TestAdjoint:
     def test_hermitian_symbol_self_adjoint(self):
         rng = np.random.default_rng(2)

@@ -213,6 +213,25 @@ class TestRadialLift:
                 assert np.abs(vec[starts[k] : starts[k + 1]] - c[k] * power).max() <= 1e-15
 
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_bits_of_the_kronecker_chain(self, q):
+        # the lift's broadcast keeps np.kron's operands; a 1-D weights
+        # operand, (column[:, None] * weights).ravel(), changes bits at q = 1
+        rng = np.random.default_rng(25 + q)
+        n = 10 if q == 1 else 12 // q
+        for op in (
+            BranchingOperator.uniform(q, n, Symbol({0: 1})),
+            BranchingOperator.with_weights(random_unit_weights(rng, q), n, Symbol({0: 1})),
+        ):
+            for _ in range(5):
+                c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+                expected, column = [c[0] * np.ones(1, dtype=complex)], np.ones(1, dtype=complex)
+                for k in range(1, n + 1):
+                    column = np.kron(column, op.weights)
+                    expected.append(c[k] * column)
+                assert np.array_equal(_radial_lift(op, c), np.concatenate(expected))
+
+
 class TestRadialCompression:
     def test_down_shift(self):
         op = BranchingOperator.uniform(2, 2, Symbol({1: 1}))
@@ -307,6 +326,22 @@ class TestBlockNorms:
         # the defect is relative to the symbol's scale 2^p, as the check is
         apply = operators._Kernel.apply
         monkeypatch.setattr(operators._Kernel, "apply", lambda self, x: defect(apply(self, x), math.ldexp(1.0, p)))
+        with pytest.raises(AssertionError, match="cross block"):
+            block_norms(self.checked_operator(weighted, p))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [0, 40, -40])
+    def test_refuses_a_defect_on_one_vertex_of_every_row(self, p, weighted, monkeypatch):
+        # the check applies stacks of lifted columns: the defect sits on the
+        # last vertex of each row, not on a whole row
+        apply = operators._Kernel.apply
+
+        def broken(self, x):
+            y = apply(self, x)
+            y[..., -1] += 1e-9 * math.ldexp(1.0, p)
+            return y
+
+        monkeypatch.setattr(operators._Kernel, "apply", broken)
         with pytest.raises(AssertionError, match="cross block"):
             block_norms(self.checked_operator(weighted, p))
 
