@@ -301,7 +301,6 @@ class SsspReport:
     RAY_LEVEL.
     """
 
-    samples: int
     one_point: dict
     ray_pair_corr: dict
     incomparable_pair_corr: tuple
@@ -421,7 +420,6 @@ def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
     cardinality_var = (float((lam * (1 - lam)).sum()), float(var), float(var_se))
 
     return SsspReport(
-        samples=samples,
         one_point=one_point,
         ray_pair_corr=ray_pair,
         incomparable_pair_corr=incomparable,

@@ -9,7 +9,7 @@ incomparable pairs get zero.  Scalar weights are the case d = 1: a unit
 vector a in C^q gives BranchingOperator, the uniform weight
 a = (1/sqrt(q), ..., 1/sqrt(q)) gives path products q^(-m/2) and the
 classical damped kernel, and q = 1 gives the ordinary Toeplitz matrix.
-The operator-valued functions run at d = A.dim.
+The operator-valued functions take an OperatorTuple of q d x d matrices.
 
 One private engine, _Kernel, produces every entry, product and dense
 matrix for both weight kinds.  It decides the uniform fast path from the
@@ -167,9 +167,11 @@ class _Kernel:
             children += S[..., None, :] if self.uniform else (S @ up).reshape(*lead, -1, q, d)
 
         # descendant sums: D holds, per surviving vertex, the adjoint
-        # path-weighted sum of x over its depth-m descendants
+        # path-weighted sum of x over its depth-m descendants, for m up to
+        # s, the largest m <= radius with h(-m) != 0; deeper D_m go unread
+        s = max((m for m in range(1, radius + 1) if coeff(-m) != 0), default=0)
         D = x
-        for m in range(1, radius + 1):
+        for m in range(1, s + 1):
             D = D[..., 1:, :].reshape(*lead, -1, q * d) @ down
             c = coeff(-m)
             if c != 0:
@@ -285,14 +287,6 @@ class OperatorTuple:
             raise ValueError(f"expected (q, d, d) stack of square matrices, got {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrices", arr)
-
-    @property
-    def q(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
 
     @cached_property
     def contraction_norm(self) -> float:

@@ -62,7 +62,6 @@ POWER_SEED = 0x5EED
 HERMITIAN_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-12
 RADIAL_TOL = 1e-8
-NORM_TIE_TOL = 1e-10
 SANDWICH_DENSE_ROWS = 1024
 # bytes of lifted columns per stacked product in block_norms' check
 CHECK_CHUNK_BYTES = 2**18
@@ -269,28 +268,18 @@ def _radial_lift(op: BranchingOperator, c: np.ndarray) -> np.ndarray:
 def norming_vector(op: BranchingOperator):
     """(vector, achieved_norm, is_radial) for a top right-singular vector.
 
-    The block T_n attains the operator norm, so the vector is E w for a top
-    right-singular vector w of T_n, with E the weighted radial basis whose
-    generation-k column is the k-fold Kronecker power of the weights.  When
-    the top singular value is degenerate (a 1e-10 tie window) w is the
-    tied subspace's projection of the lowest-generation direction.
-    is_radial tells whether the vector is constant on every generation.
+    The block T_n attains the operator norm, so the vector is E w for the
+    top right-singular vector w of T_n that LAPACK returns, with E the
+    weighted radial basis whose generation-k column is the k-fold Kronecker
+    power of the weights; any w gives a vector in the weighted radial
+    subspace, tied top or not.  is_radial tells whether the vector is
+    constant on every generation.
     """
-    n = op.shape.depth
-    _, s, vh = np.linalg.svd(toeplitz_dense(op.symbol, n))
-    achieved = float(s[0])
-    w = vh[0].conj()
-    ties = np.nonzero(s >= achieved - NORM_TIE_TOL)[0]
-    if ties.size > 1:
-        # degenerate top: prefer the lowest-generation direction
-        basis = vh[ties].conj().T
-        proj = basis @ basis.conj().T[:, 0]
-        if np.linalg.norm(proj) > 1e-8:
-            w = proj / np.linalg.norm(proj)
-    vec = _radial_lift(op, w)
+    _, s, vh = np.linalg.svd(toeplitz_dense(op.symbol, op.shape.depth))
+    vec = _radial_lift(op, vh[0].conj())
     starts = op.shape.generation_starts
     spread = max(np.abs(vec[lo:hi] - vec[lo]).max() for lo, hi in zip(starts, starts[1:]))
-    return vec, achieved, bool(spread <= RADIAL_TOL)
+    return vec, float(s[0]), bool(spread <= RADIAL_TOL)
 
 
 def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:

@@ -26,8 +26,6 @@ __all__ = [
     "Comparability",
     "linear_index",
     "vertex_from_index",
-    "parent",
-    "ancestor",
     "comparability",
 ]
 
@@ -94,19 +92,6 @@ def vertex_from_index(i: int, shape: TreeShape) -> Vertex:
     while starts[g + 1] <= i:
         g += 1
     return Vertex(g, i - starts[g])
-
-
-def parent(v: Vertex, q: int) -> Vertex:
-    if v.generation == 0:
-        raise ValueError("root has no parent")
-    return Vertex(v.generation - 1, v.offset // q)
-
-
-def ancestor(v: Vertex, m: int, q: int) -> Vertex:
-    """Ancestor of v at distance m (m = 0 returns v itself)."""
-    if m < 0 or m > v.generation:
-        raise ValueError(f"no ancestor at distance {m} of generation-{v.generation} vertex")
-    return Vertex(v.generation - m, v.offset // q**m)
 
 
 class Relation(Enum):

@@ -141,6 +141,33 @@ def test_norming_vector_attains_dense_norm(op):
         assert is_radial
 
 
+@pytest.mark.parametrize(
+    "coeffs,n",
+    [
+        ({0: 1}, 3),  # every singular value ties
+        ({-1: -0.6, 0: 0.8, 1: 0.6}, 1),  # the skew symbol
+        ({-1: 1, 1: 1}, 2),  # T_2 has eigenvalues +-sqrt(2) and 0
+    ],
+)
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_norming_vector_on_tied_tops(coeffs, n, q, uniform):
+    f = Symbol(coeffs)
+    if uniform:
+        op = BranchingOperator.uniform(q, n, f)
+    else:
+        op = BranchingOperator.with_weights(random_unit_weights(np.random.default_rng(q), q), n, f)
+    s = np.linalg.svd(toeplitz_dense(f, n), compute_uv=False)
+    assert s[0] - s[1] <= 1e-12  # the top is tied
+    vec, achieved, is_radial = norming_vector(op)
+    M = op.materialize()
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(M @ vec) - achieved) <= 1e-10
+    assert abs(achieved - np.linalg.norm(M, 2)) <= 1e-10
+    if uniform:
+        assert is_radial
+
+
 def _unit_vectors(seed: int, dim: int, count: int):
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))

@@ -21,7 +21,7 @@ from btoep.dpp import (
 )
 from btoep.operators import DenseCapError
 from btoep.symbols import Symbol
-from btoep.tree import Relation, TreeShape, ancestor, comparability, linear_index, vertex_from_index
+from btoep.tree import Relation, TreeShape, Vertex, comparability, linear_index, vertex_from_index
 
 RAISED_COS = Symbol({-1: 0.25, 0: 0.5, 1: 0.25})  # (1 + cos theta) / 2
 # 1/2 + 2 Re((0.2 + 0.1i) e^{i theta}) stays in [0.05, 0.95]; complex
@@ -368,7 +368,7 @@ class TestDiagnosticsOracle:
         for d, (spread, allowance) in report.across_ray_spread.items():
             per_ray = []
             for leaf in leaves:
-                ray = [linear_index(ancestor(leaf, n - g, q), shape) for g in range(n + 1)]
+                ray = [linear_index(Vertex(g, leaf.offset // q ** (n - g)), shape) for g in range(n + 1)]
                 per_ray.append(mean_se([(ray[g], ray[g + d]) for g in range(n + 1 - d)]))
             means, ses = np.array(per_ray).T
             assert abs(spread - (means.max() - means.min())) <= 1e-15
@@ -716,7 +716,7 @@ class TestRayInvariance:
             analytic = f0 if d == 0 else f0**2 - q ** (-d) * abs(COMPLEX_HERM.coeff(d)) ** 2
             means, ses = [], []
             for leaf in map(vertex_from_index, range(shape.generation_starts[n], kernel.dim), itertools.repeat(shape)):
-                ray = [linear_index(ancestor(leaf, n - g, q), shape) for g in range(n + 1)]
+                ray = [linear_index(Vertex(g, leaf.offset // q ** (n - g)), shape) for g in range(n + 1)]
                 per = np.mean([X[:, ray[g]] * X[:, ray[g + d]] if d else X[:, ray[g]] for g in range(n + 1 - d)], axis=0)
                 means.append(per.mean())
                 ses.append(per.std(ddof=1) / np.sqrt(per.size))

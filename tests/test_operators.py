@@ -176,6 +176,25 @@ class TestApply:
                         1.0, np.linalg.norm(dense[:, c])
                     )
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {0: 0.5, 1: 0.3 - 0.2j, 2: 0.1},  # analytic: no descendant side
+            {-2: 0.25 + 0.5j, 0: 0.5, 1: -0.3},  # h(-1) = 0 but h(-2) != 0
+        ],
+    )
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_one_sided_and_gapped_symbols_match_dense(self, coeffs, q):
+        rng = np.random.default_rng(q)
+        f = Symbol(coeffs)
+        for op in (
+            BranchingOperator.uniform(q, 4, f),
+            BranchingOperator.with_weights(random_unit_weights(rng, q), 4, f),
+        ):
+            x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            dense = op.materialize() @ x
+            assert np.linalg.norm(op.apply(x) - dense) <= 1e-12 * np.linalg.norm(dense)
+
     def test_dimension_mismatch(self):
         op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
         with pytest.raises(ValueError):
