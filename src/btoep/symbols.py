@@ -153,9 +153,7 @@ def fejer_smooth(f: Symbol, N: int) -> Symbol:
 
 def fejer_kernel(N: int) -> Symbol:
     """The order-N Fejer kernel itself: h(k) = 1 - |k|/(N+1) on |k| <= N."""
-    if N < 0:
-        raise ValueError("Fejer order must be >= 0")
-    return Symbol({k: 1 - abs(k) / (N + 1) for k in range(-N, N + 1)})
+    return fejer_smooth(Symbol(dict.fromkeys(range(-N, N + 1), 1)), N)
 
 
 def rotate(f: Symbol, t: float) -> Symbol:

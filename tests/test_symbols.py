@@ -122,6 +122,21 @@ class TestFejer:
         f = fejer_kernel(3)
         assert f.coeff(0) == 1 and f.coeff(2) == 0.5 and f.coeff(4) == 0
 
+    @pytest.mark.parametrize("N", range(33))
+    def test_kernel_is_the_smoothed_flat_window(self, N):
+        flat = Symbol(dict.fromkeys(range(-N, N + 1), 1))
+        assert fejer_kernel(N) == fejer_smooth(flat, N)
+        # the closed form bit for bit, every |k| <= N kept
+        assert fejer_kernel(N).coeffs == {k: 1 - abs(k) / (N + 1) for k in range(-N, N + 1)}
+
+    def test_negative_order_raises_the_same_error(self):
+        messages = set()
+        for call in (lambda: fejer_kernel(-1), lambda: fejer_smooth(Symbol({0: 1}), -1)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {"Fejer order must be >= 0"}
+
     def test_converges_coefficientwise(self):
         f = Symbol({-2: 1j, 0: 2, 3: -1})
         for k in f.support:
