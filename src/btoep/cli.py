@@ -44,7 +44,7 @@ import numpy as np
 from . import dpp as dpp_mod
 from . import verify as verify_mod
 from .operators import BranchingOperator, DenseCapError, dense_cap, toeplitz_dense
-from .spectral import POWER_SEED, operator_norm
+from .spectral import POWER_MAX_ITER, POWER_SEED, POWER_TOL, operator_norm
 from .symbols import Symbol
 from .tree import TreeShape
 
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_symbol_args(p_norm)
     p_norm.add_argument("--q", type=int, required=True)
     p_norm.add_argument("--n", type=int, required=True)
-    p_norm.add_argument("--tol", type=float, default=1e-10)
-    p_norm.add_argument("--max-iter", type=int, default=10000)
+    p_norm.add_argument("--tol", type=float, default=POWER_TOL)
+    p_norm.add_argument("--max-iter", type=int, default=POWER_MAX_ITER)
     p_norm.add_argument("--seed", type=int, default=POWER_SEED)
     p_norm.add_argument("--format", choices=["json", "csv"], default="json")
     p_norm.add_argument("--out")
@@ -209,8 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dpp(args) -> int:
-    if args.q < 1 or args.n < 0 or args.samples < 1000:
-        return _fail("invalid numeric parameters (need samples >= 1000)", EXIT_INPUT)
+    if args.q < 1 or args.n < 0 or args.samples < dpp_mod.MIN_SAMPLES:
+        return _fail(f"invalid numeric parameters (need samples >= {dpp_mod.MIN_SAMPLES})", EXIT_INPUT)
     if code := _over_limit(args.q, args.n, "dpp limit", MAX_DPP_VERTEX_SAMPLES, args.samples):
         return code
     # no dense matrix is built, but trees over the dense cap stay refused

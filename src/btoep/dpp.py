@@ -91,6 +91,7 @@ EIG_CLAMP = 1e-8
 CHAIN_CHUNK_BYTES = 2**20
 # family-wise false-alarm level of the ray-invariance row
 RAY_LEVEL = 1e-3
+MIN_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -363,8 +364,8 @@ def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
     """Monte Carlo estimates of the stationarity/independence signatures
     from the given draws of the process with this kernel."""
     samples = len(draws)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for stable diagnostics")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for stable diagnostics")
     shape = kernel.shape
     q, n, N = shape.q, shape.depth, kernel.dim
     starts = np.asarray(shape.generation_starts)

@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 POWER_SEED = 0x5EED
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10000
 HERMITIAN_TOL = 1e-10
 CROSS_BLOCK_TOL = 1e-12
 RADIAL_TOL = 1e-8
@@ -77,8 +79,8 @@ class SpectralReport:
 
 def operator_norm(
     op: BranchingOperator,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = POWER_TOL,
+    max_iter: int = POWER_MAX_ITER,
     seed: int = POWER_SEED,
 ) -> SpectralReport:
     """Power iteration on x -> M^* M x, M^* = op.adjoint() built once;
@@ -168,7 +170,9 @@ def radial_compress(op: BranchingOperator) -> np.ndarray:
     if op.uniform:  # the exact q^(-k/2) of the uniform kernel: btoep verify prints this residual
         E = radial_basis(op.shape)
     else:
-        E = np.stack([_radial_lift(op, c) for c in np.eye(op.shape.depth + 1)], axis=1)
+        # one Kronecker chain, as in block_norms; a transposed (n+1, N) build changes bits
+        n, sizes = op.shape.depth, np.diff(op.shape.generation_starts)
+        E = np.repeat(np.eye(n + 1), sizes, axis=0) * _radial_lift(op, np.ones(n + 1))[:, None]
     return E.conj().T @ op.apply(E.T).T
 
 

@@ -15,6 +15,7 @@ q = 1 is supported and degenerates to the half-line 0-1-2-...-n.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -87,11 +88,8 @@ def vertex_from_index(i: int, shape: TreeShape) -> Vertex:
     """Inverse of linear_index."""
     if i < 0 or i >= shape.vertex_count:
         raise ValueError(f"index {i} out of range")
-    starts = shape.generation_starts
-    g = 0
-    while starts[g + 1] <= i:
-        g += 1
-    return Vertex(g, i - starts[g])
+    g = bisect.bisect_right(shape.generation_starts, i) - 1
+    return Vertex(g, i - shape.generation_starts[g])
 
 
 class Relation(Enum):
@@ -114,15 +112,11 @@ def comparability(u: Vertex, v: Vertex, shape: TreeShape) -> Comparability:
     """Classify the pair (u, v) under the ancestor partial order."""
     _check(u, shape)
     _check(v, shape)
-    q = shape.q
     if u == v:
         return Comparability(Relation.EQUAL)
-    if u.generation <= v.generation:
-        m = v.generation - u.generation
-        if v.offset // q**m == u.offset:
-            return Comparability(Relation.U_ANCESTOR_OF_V, m)
-    if v.generation < u.generation:
-        m = u.generation - v.generation
-        if u.offset // q**m == v.offset:
-            return Comparability(Relation.V_ANCESTOR_OF_U, m)
+    u_up = u.generation <= v.generation
+    up, down = (u, v) if u_up else (v, u)
+    m = down.generation - up.generation
+    if down.offset // shape.q**m == up.offset:
+        return Comparability(Relation.U_ANCESTOR_OF_V if u_up else Relation.V_ANCESTOR_OF_U, m)
     return Comparability(Relation.INCOMPARABLE)

@@ -167,6 +167,15 @@ class TestNorm:
             assert main(["norm", "--symbol", CONST_ONE, "--q", "11", "--n", str(n)]) == EXIT_CAP_EXCEEDED
             assert capsys.readouterr() == ("", f"error: (q=11, n={n}) is over the norm limit of 10 vertices\n")
 
+    def test_no_exact_norm_past_the_order_limit(self, capsys, monkeypatch):
+        # T_1024 has order 1025 > EXACT_NORM_MAX_ORDER: the estimate is printed, T_n is never built
+        monkeypatch.setattr(cli, "toeplitz_dense", lambda *a: pytest.fail("exact norm computed"))
+        code = main(["norm", "--symbol", RAISED_COS, "--q", "1", "--n", "1024", "--max-iter", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_CONVERGENCE
+        assert captured.err == "exact norm not computed: T_n has order 1025 > 1024\n"
+        assert json.loads(captured.out)["iterations"] == 2
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):

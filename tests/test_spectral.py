@@ -254,6 +254,17 @@ class TestRadialCompression:
         op = BranchingOperator.with_weights(random_unit_weights(rng, 2), 3, Symbol({0: 1}))
         assert np.abs(radial_compress(op) - toeplitz_dense(op.symbol, 3)).max() <= 1e-12
 
+    def test_weighted_columns_from_one_chain(self, monkeypatch):
+        # the n+1 weighted columns come from one lift, with the bits of n+1 per-column lifts
+        rng = np.random.default_rng(26)
+        op = BranchingOperator.with_weights(random_unit_weights(rng, 3), 4, random_symbol(rng, 2))
+        E = np.stack([_radial_lift(op, c) for c in np.eye(5)], axis=1)
+        lifts = []
+        monkeypatch.setattr(spectral, "_radial_lift", lambda *a: lifts.append(1) or _radial_lift(*a))
+        C = radial_compress(op)
+        assert len(lifts) == 1
+        assert np.array_equal(C, E.conj().T @ op.apply(E.T).T)
+
     def test_basis_orthonormal(self):
         H = radial_basis(BranchingOperator.uniform(3, 4, Symbol({0: 1})).shape)
         assert np.allclose(H.T @ H, np.eye(5), atol=1e-14)
