@@ -183,7 +183,7 @@ def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
 def sample(kernel: DppKernel, seed: int) -> DppSample:
     """One draw of the point process; the law has kernel K."""
     rng = np.random.default_rng(seed)
-    return DppSample(tuple(_sample_with_rng(kernel, rng)), seed)
+    return DppSample(tuple(_sample_with_rng(kernel, rng)), int(seed))
 
 
 def sample_seeds(n_samples: int, seed: int) -> list:
@@ -260,7 +260,7 @@ def sample_chains(kernel: DppKernel, seeds) -> list:
         # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
         # rounding outside [0, 1] needs no clamp and no pivot is 0
         occupied = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p)
-        draws += [DppSample(tuple(np.flatnonzero(row).tolist()), s) for row, s in zip(occupied, part)]
+        draws += [DppSample(tuple(np.flatnonzero(row).tolist()), int(s)) for row, s in zip(occupied, part)]
     return draws
 
 

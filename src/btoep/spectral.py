@@ -227,8 +227,8 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
         for A, B in ((op, T), (adjoint, T.conj().T)):
             residual = A.apply(x)
             residual -= np.repeat(B[:, lo : lo + step].T, sizes, axis=1) * flat
-            cross = max(cross, np.abs(residual).max())
-    if cross > bound:
+            cross = np.maximum(cross, np.abs(residual).max())
+    if not cross <= bound:
         raise AssertionError(f"cross block of size {cross} exceeds {bound}")
     radial = float(np.linalg.norm(T, 2))
     complement = float(np.linalg.norm(T[:n, :n], 2)) if op.shape.q > 1 and n > 0 else 0.0
@@ -302,8 +302,8 @@ def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
             est = operator_norm_dense(op)
         else:
             est = operator_norm(op).norm_estimate
-        sup = max(sup, est)
-    return sup
+        sup = np.maximum(sup, est)
+    return float(sup)
 
 
 def cn_sandwich(f: Symbol, n: int, q_max: int):

@@ -105,6 +105,14 @@ class TestSample:
             data = json.loads(line)
             assert data == {"seed": s.rng_seed, "occupied": list(s.occupied)}
 
+    def test_numpy_integer_seeds_write_the_same_lines(self):
+        # the samplers store int(seed), so json can write a numpy seed
+        k = build_kernel(RAISED_COS, 2, 2)
+        for draw in (lambda seeds: [sample(k, s) for s in seeds], lambda seeds: dpp.sample_chains(k, seeds)):
+            numpy_draws, int_draws = draw(np.arange(3)), draw([0, 1, 2])
+            assert numpy_draws == int_draws
+            assert samples_to_jsonl(numpy_draws) == samples_to_jsonl(int_draws)
+
 
 class _ScriptedRng:
     """Stands in for the generator: selects every eigenvector with

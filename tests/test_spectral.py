@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,8 +331,10 @@ class TestBlockNorms:
             lambda y, scale: np.concatenate([y[:-1], y[-1:] + 1e-9 * scale]),
             # stays in it, but the radial block is (1 + 1e-9) T_n, not T_n
             lambda y, scale: y * (1 + 1e-9),
+            # a NaN on the last vertex, which a running max() would drop
+            lambda y, scale: np.concatenate([y[:-1], y[-1:] + np.nan]),
         ],
-        ids=["off_radial", "scaled_block"],
+        ids=["off_radial", "scaled_block", "nan"],
     )
     def test_refuses_a_broken_apply(self, defect, p, weighted, monkeypatch):
         # the defect is relative to the symbol's scale 2^p, as the check is
@@ -527,6 +530,14 @@ class TestCnSandwich:
         for report in estimates.values():
             assert report.converged
             assert abs(report.norm_estimate - exact) <= 1e-9
+
+    def test_nan_power_estimate_is_a_nan_sup(self, monkeypatch):
+        # q = 6 at n = 4 has 1555 vertices and takes the power path; its NaN
+        # must reach the sup, not lose to the finite dense values at q = 2..5
+        monkeypatch.setattr(spectral, "operator_norm", lambda op, **kw: SimpleNamespace(norm_estimate=math.nan))
+        f = Symbol({-1: 0.3, 0: 0.5, 1: 0.2j})
+        assert math.isnan(sup_branching_norm(f, 4, 6))
+        assert math.isnan(cn_sandwich(f, 4, 6)[1])
 
     def test_dense_rows_alone_pick_the_dense_svd(self, monkeypatch):
         # q = 5, n = 4 has 781 vertices, within the dense rows: dense SVD at
