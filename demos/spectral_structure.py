@@ -3,8 +3,10 @@
 Three views of the same decomposition:
   1. compressing the operator to the radial subspace recovers the Toeplitz
      matrix of the symbol, entry for entry;
-  2. the matrix is block diagonal across radial/complement, and the norm
-     is the max of the block norms;
+  2. block_norms checks that the matrix is block diagonal across
+     radial/complement (M E = E T_n and M^* E = E T_n^* on the radial
+     basis E), then returns the block norms ||T_n|| and ||T_{n-1}|| and,
+     by construction rather than measurement, their max as the total;
   3. the full singular value list, from a dense SVD, is the union of the
      singular values of the Toeplitz truncations T_n, T_{n-1} x (q-1),
      T_{n-2} x (q-1)q, ..., which is what singular_values returns.

@@ -15,9 +15,8 @@ Subcommands:
           invocation
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
-a negative --seed, an unreadable --symbol-file, an --out that cannot
-be written and an output path that is a directory, refused before any
-work, included), 2 norm non-convergence, 3 verification failure,
+a negative --seed, an unreadable --symbol-file and an output path that
+cannot be written included), 2 norm non-convergence, 3 verification failure,
 4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
 of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
 the dense cap on the tree of dpp or on the largest tree (q_max, n_max) of
@@ -25,8 +24,11 @@ table, each decided from (q, n) before anything is built; dpp and table
 build no dense matrix but still refuse such trees.  verify exits 5 too
 when a dense matrix it builds would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
-byte-identical; files are written in one shot after all computation
-succeeds, never partially.
+byte-identical.  An output path that names a directory, or whose
+directory (for a symlink, its target's) does not exist, is refused
+before any work.  Files are written after all computation succeeds and
+stdout is printed after them; any other failed write exits 1 with
+nothing on stdout and none of the run's files left.
 """
 
 from __future__ import annotations
@@ -91,11 +93,24 @@ def _load_symbol(args) -> Symbol:
     raise ValueError("a symbol is required (--symbol or --symbol-file)")
 
 
-def _emit(out: str | None, text: str) -> None:
-    """Print text and, given --out, write the same bytes there."""
-    print(text, end="")
-    if out:
-        Path(out).write_text(text)
+def _write(stdout: str, files: dict[str, str]) -> None:
+    """Write every file through (an existing symlink or /dev/stdout is
+    written to, not replaced), then print stdout.  A failed write removes
+    the files already written and any file it created, then re-raises."""
+    written = []
+    try:
+        for path, text in files.items():
+            existed = os.path.lexists(path)
+            Path(path).write_text(text)
+            written.append(path)
+    except OSError:
+        # a file the failed write created holds part of its text at most
+        if not existed and os.path.lexists(path):
+            written.append(path)
+        for path in written:
+            os.remove(path)
+        raise
+    print(stdout, end="")
 
 
 def _limit_exceeded(q: int, n: int, what: str, limit: int, samples: int = 1) -> int:
@@ -184,12 +199,12 @@ def cmd_norm(args) -> int:
     if args.format == "csv":
         text = (
             "norm,method,iterations,residual\n"
-            f"{report.norm_estimate!r},{NORM_METHOD},{report.iterations},{report.residual!r}"
+            f"{report.norm_estimate!r},{NORM_METHOD},{report.iterations},{report.residual!r}\n"
         )
     else:
         text = json.dumps({"norm": report.norm_estimate, "method": NORM_METHOD,
-                           "iterations": report.iterations, "residual": report.residual})
-    _emit(args.out, text + "\n")
+                           "iterations": report.iterations, "residual": report.residual}) + "\n"
+    _write(text, {args.out: text} if args.out else {})
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -204,7 +219,8 @@ def cmd_verify(args) -> int:
         ]
     else:
         results = verify_mod.run_all(seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry)
-    _emit(args.out, "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results))
+    text = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results)
+    _write(text, {args.out: text} if args.out else {})
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -225,9 +241,8 @@ def cmd_dpp(args) -> int:
     draws = dpp_mod.sample_chains(kernel, dpp_mod.sample_seeds(args.samples, args.seed))
     report = dpp_mod.sssp_statistics(kernel, draws)
     samples_path, diagnostics_path = (args.out + s for s in DPP_SUFFIXES)
-    Path(samples_path).write_text(dpp_mod.samples_to_jsonl(draws))
-    Path(diagnostics_path).write_text(report.to_csv())
-    print(f"wrote {samples_path} and {diagnostics_path}")
+    _write(f"wrote {samples_path} and {diagnostics_path}\n",
+           {samples_path: dpp_mod.samples_to_jsonl(draws), diagnostics_path: report.to_csv()})
     return EXIT_OK
 
 
@@ -256,7 +271,7 @@ def cmd_table(args) -> int:
         rows = [",".join(columns)]
         rows += [f"{q},{n},{bn!r},{tn!r},{gap!r}" for q, n, bn, tn, gap in cells]
         text = "\n".join(rows) + "\n"
-    _emit(args.out, text)
+    _write(text, {args.out: text} if args.out else {})
     return EXIT_OK
 
 
@@ -271,16 +286,16 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be >= 0")
-        # dpp's --out is a prefix, so check the directory of the string as given
-        out_dir = os.path.dirname(args.out or "") or "."
-        if not os.path.isdir(out_dir):
-            raise ValueError(f"--out directory {out_dir!r} does not exist")
-        # no path a subcommand writes may be a directory, so a refused
-        # --out leaves no output and costs no computation
+        # no path the run writes may be a directory or lie in a missing one,
+        # a symlink's target included, so a refused --out leaves no output
+        # and costs no computation
         suffixes = DPP_SUFFIXES if handler is cmd_dpp else ("",)
         for path in ((args.out or "") + s for s in suffixes):
             if os.path.isdir(path):
                 raise ValueError(f"--out path {path!r} is a directory")
+            out_dir = os.path.dirname(os.path.realpath(path) if os.path.islink(path) else path) or "."
+            if not os.path.isdir(out_dir):
+                raise ValueError(f"--out directory {out_dir!r} does not exist")
         if handler is not cmd_norm:
             # every other subcommand keeps its trees under the dense cap
             dense_cap()

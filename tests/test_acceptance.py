@@ -7,10 +7,13 @@ kept failing deliberately rather than weakening them.
 """
 
 import itertools
+import sys
 import time
 
 import numpy as np
+import pytest
 
+from btoep import operators
 from btoep.dpp import build_kernel, sssp_diagnostics
 from btoep.operators import (
     BranchingOperator,
@@ -69,7 +72,7 @@ def test_criterion_2_radial_compression():
                 f = random_symbol(rng, int(rng.integers(1, n + 1)))
                 op = BranchingOperator.uniform(q, n, f)
                 dev = np.abs(radial_compress(op) - toeplitz_dense(f, n)).max()
-                worst = max(worst, float(dev))
+                worst = np.maximum(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
     assert report(2, ok, f"(worst entry dev {worst:.3e}, {elapsed:.1f}s)")
@@ -152,7 +155,7 @@ def test_criterion_6_interior_multiplicativity():
             MQ = BranchingOperator.uniform(q, n, Q_sym).materialize()
             target = BranchingOperator.uniform(q, n, poly_product(P_sym, Q_sym)).materialize()
             dev = np.abs(MP @ MQ[:, :cols] - target[:, :cols]).max()
-            worst = max(worst, float(dev))
+            worst = np.maximum(worst, dev)
     ok = worst <= 1e-10
     assert report(6, ok, f"(worst interior entry dev {worst:.3e})")
 
@@ -316,3 +319,22 @@ def test_criterion_12_operator_valued_positivity():
     viol_eig = float(np.linalg.eigvalsh(M).min())
     ok = ok and viol_eig < -1e-9
     assert report(12, ok, f"(contractive min eig {worst:.3e}, violator min eig {viol_eig:.3f})")
+
+
+@pytest.mark.parametrize("criterion, owner, name, at", [
+    (test_criterion_2_radial_compression, sys.modules[__name__], "radial_compress", (0, 0)),
+    (test_criterion_6_interior_multiplicativity, operators._Kernel, "materialize", (-1, 0)),
+], ids=["criterion_2", "criterion_6"])
+def test_nan_deviation_fails_the_criterion(criterion, owner, name, at, monkeypatch):
+    # max(0.0, nan) is 0.0, so a running max() would print a NaN deviation
+    # as a pass; np.maximum keeps it and fails the tolerance
+    compute = getattr(owner, name)
+
+    def with_nan(*args):
+        M = compute(*args)
+        M[at] = np.nan
+        return M
+
+    monkeypatch.setattr(owner, name, with_nan)
+    with pytest.raises(AssertionError):
+        criterion()

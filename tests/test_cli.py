@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -550,6 +551,77 @@ class TestOutDirectory:
         assert captured.err.startswith("error:") and "is a directory" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+
+
+class TestFailedWrite:
+    """A run's files are all written or none are, and stdout comes after them."""
+
+    DPP = ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"]
+
+    @staticmethod
+    def _expect_exit_1_and_no_output(tmp_path, capsys, code, entries=()):
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        # norm's exact-norm line on stderr comes before the error line
+        assert captured.err.splitlines()[-1].startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(entries)
+        return captured.err
+
+    def test_dpp_second_name_too_long(self, tmp_path, capsys):
+        # the samples name fits the file-name limit, the diagnostics name does not
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        prefix = "r" * (name_max - len(".diagnostics.csv") + 1)
+        assert len(prefix + ".samples.jsonl") <= name_max
+        code = main(self.DPP + ["--out", str(tmp_path / prefix)])
+        self._expect_exit_1_and_no_output(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"],
+        ["verify", "--case", "A1", "--trials", "1"],
+        ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"],
+    ])
+    def test_out_name_too_long(self, argv, tmp_path, capsys):
+        name = "r" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+        code = main(argv + ["--out", str(tmp_path / name)])
+        self._expect_exit_1_and_no_output(tmp_path, capsys, code)
+
+    def test_dpp_symlink_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        # the link's target directory is checked before any work
+        monkeypatch.setattr(dpp, "build_kernel", lambda *a: pytest.fail("btoep dpp built its kernel"))
+        (tmp_path / "run.diagnostics.csv").symlink_to(tmp_path / "missing" / "run.csv")
+        code = main(self.DPP + ["--out", str(tmp_path / "run")])
+        err = self._expect_exit_1_and_no_output(tmp_path, capsys, code, ["run.diagnostics.csv"])
+        assert f"{str(tmp_path / 'missing')!r} does not exist" in err
+
+    @pytest.mark.parametrize("argv, last", [
+        (DPP, "run.diagnostics.csv"),
+        (["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"], "run"),
+    ])
+    def test_write_that_fails_part_way(self, argv, last, tmp_path, capsys, monkeypatch):
+        # a disk that fills during the last write: the file it created goes too
+        write_text = Path.write_text
+
+        def fill_then_fail(path, text):
+            if path.name == last:
+                write_text(path, text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return write_text(path, text)
+
+        monkeypatch.setattr(Path, "write_text", fill_then_fail)
+        code = main(argv + ["--out", str(tmp_path / "run")])
+        self._expect_exit_1_and_no_output(tmp_path, capsys, code)
+
+    def test_symlinks_are_written_through(self, tmp_path, capsys):
+        # a rename into place would replace the links instead
+        (tmp_path / "data").mkdir()
+        for suffix in cli.DPP_SUFFIXES:
+            (tmp_path / ("run" + suffix)).symlink_to(tmp_path / "data" / suffix[1:])
+        assert main(self.DPP + ["--out", str(tmp_path / "run")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("wrote ")
+        for suffix in cli.DPP_SUFFIXES:
+            assert (tmp_path / ("run" + suffix)).is_symlink()
+            assert (tmp_path / "data" / suffix[1:]).stat().st_size > 0
 
 
 class TestDenseCapSetting:
