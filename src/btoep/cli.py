@@ -24,9 +24,10 @@ table, each decided from (q, n) before anything is built; dpp and table
 build no dense matrix but still refuse such trees.  verify exits 5 too
 when a dense matrix it builds would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
-byte-identical.  An output path that names a directory, or whose
-directory (for a symlink, its target's) does not exist, is refused
-before any work.  Files are written after all computation succeeds and
+byte-identical.  An output path that names a directory, whose
+directory (for a symlink, its target's) does not exist, or whose file
+name is longer than that directory's NAME_MAX bytes, is refused before
+any work.  Files are written after all computation succeeds and
 stdout is printed after them; any other failed write exits 1 with
 nothing on stdout and none of the run's files left.
 """
@@ -46,7 +47,7 @@ import numpy as np
 from . import dpp as dpp_mod
 from . import verify as verify_mod
 from .operators import BranchingOperator, DenseCapError, dense_cap, toeplitz_dense
-from .spectral import POWER_MAX_ITER, POWER_SEED, POWER_TOL, operator_norm
+from .spectral import POWER_MAX_ITER, POWER_SEED, POWER_TOL, _spectral_norm, operator_norm
 from .symbols import Symbol
 from .tree import TreeShape
 
@@ -193,7 +194,7 @@ def cmd_norm(args) -> int:
         print(f"exact norm not computed: T_n has order {args.n + 1} > {EXACT_NORM_MAX_ORDER}", file=sys.stderr)
     else:
         # the operator norm is the largest block norm, ||T_n|| by interlacing
-        exact = float(np.linalg.norm(toeplitz_dense(args.f, args.n), 2))
+        exact = _spectral_norm(toeplitz_dense(args.f, args.n))
         err = abs(report.norm_estimate - exact) / exact if exact > 0 else report.norm_estimate
         print(f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}", file=sys.stderr)
     if args.format == "csv":
@@ -256,7 +257,7 @@ def cmd_table(args) -> int:
     # so its norm is ||T_n|| for q = 1 and the largest ||T_k||, k <= n, for
     # q >= 2, bit for bit the top of singular_values: one SVD per order
     # serves the whole grid
-    top = [float(np.linalg.norm(toeplitz_dense(args.f, k), 2)) for k in range(args.n_max + 1)]
+    top = [_spectral_norm(toeplitz_dense(args.f, k)) for k in range(args.n_max + 1)]
     cells = []
     # an empty range of n leaves no row, however large q_max is
     for q in range(1, args.q_max + 1) if args.n_max >= 1 else ():
@@ -286,16 +287,19 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be >= 0")
-        # no path the run writes may be a directory or lie in a missing one,
-        # a symlink's target included, so a refused --out leaves no output
-        # and costs no computation
+        # no path the run writes may be a directory, lie in a missing one or
+        # have a name over its directory's NAME_MAX, a symlink's target
+        # included, so a refused --out leaves no output and costs no computation
         suffixes = DPP_SUFFIXES if handler is cmd_dpp else ("",)
         for path in ((args.out or "") + s for s in suffixes):
             if os.path.isdir(path):
                 raise ValueError(f"--out path {path!r} is a directory")
-            out_dir = os.path.dirname(os.path.realpath(path) if os.path.islink(path) else path) or "."
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            out_dir, name = os.path.dirname(target) or ".", os.path.basename(target)
             if not os.path.isdir(out_dir):
                 raise ValueError(f"--out directory {out_dir!r} does not exist")
+            if len(os.fsencode(name)) > (name_max := os.pathconf(out_dir, "PC_NAME_MAX")):
+                raise ValueError(f"--out file name {name!r} is longer than {name_max} bytes")
         if handler is not cmd_norm:
             # every other subcommand keeps its trees under the dense cap
             dense_cap()

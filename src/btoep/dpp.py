@@ -139,14 +139,15 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
     drift) and are clamped; anything worse is rejected.  The kernel is
     unitarily the direct sum of the Toeplitz blocks T_k, so its
     eigenvalues are those of each T_k repeated by its multiplicity: O(n^4)
-    work on the blocks and a sort of the N eigenvalues, no dense matrix.
+    work on the blocks, a sort of their (n+1)(n+2)/2 eigenvalues and O(N)
+    to repeat them, no dense matrix.
     """
     if SymbolClass.HERMITIAN not in classify(f):
         raise ValueError("DPP kernel requires a Hermitian symbol")
     shape = TreeShape(q, n)
     # classify demands h(-m) == conj(h(m)) exactly, so each T_k, like the
     # dense kernel, is Hermitian bit for bit
-    eigvals = np.sort(_block_spectrum(f, shape, np.linalg.eigvalsh))
+    eigvals = _block_spectrum(f, shape, np.linalg.eigvalsh)
     if eigvals[0] < -EIG_CLAMP or eigvals[-1] > 1 + EIG_CLAMP:
         raise ValueError(
             f"eigenvalues [{eigvals[0]:.3e}, {eigvals[-1]:.3e}] leave [0, 1] "

@@ -13,10 +13,12 @@ vectors of one child subtree mixed by a sibling contrast c with
 sum_j conj(a_j) c_j = 0.  singular_values, certify_positive, block_norms
 and norming_vector therefore take an operator and solve only its
 (k+1) x (k+1) blocks: O(n^3) dense work plus O(N) output, with no dense
-cap.  T_{k-1} is a principal submatrix of T_k, so by interlacing the
-operator norm is ||T_n||, the complement of the radial block has norm
-||T_{n-1}|| and a Hermitian operator's smallest eigenvalue is T_n's, so
-each spectrum builds T_n once and solves its leading sections.
+cap.  A spectrum sorts its (n+1)(n+2)/2 block values, then repeats each
+by its multiplicity, so its N values are never sorted.  T_{k-1} is a
+principal submatrix of T_k, so by interlacing the operator norm is
+||T_n||, the complement of the radial block has norm ||T_{n-1}|| and a
+Hermitian operator's smallest eigenvalue is T_n's, so each spectrum
+builds T_n once and solves its leading sections.
 radial_compress applies M to the weighted radial columns in one stacked
 product, and block_norms in chunks of columns within a fixed byte budget,
 one column at a time at large N.
@@ -131,7 +133,8 @@ def operator_norm(
             # a norm past the float range reads inf, not an OverflowError
             norm = float(np.ldexp(np.sqrt(max(lam, 0.0)), e))
             return SpectralReport(norm, it, residual, streak >= 3)
-        x = z * (1.0 / znorm)  # z / znorm's bits in 1.1 ms, not its 2.6 ms, at 2^20 complex entries
+        # in place, and z / znorm's bits in 1.1 ms, not its 2.6 ms, at 2^20 complex entries
+        x = np.multiply(z, 1.0 / znorm, out=z)
 
 
 def operator_norm_dense(op: BranchingOperator) -> float:
@@ -139,19 +142,29 @@ def operator_norm_dense(op: BranchingOperator) -> float:
     return float(np.linalg.svd(op.materialize(), compute_uv=False)[0])
 
 
+def _spectral_norm(A: np.ndarray) -> float:
+    """||A||_2, the top of the singular values that np.linalg.norm(A, 2)
+    takes the max of, without its moveaxis and amax."""
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
-    """solve(T_k) of each Toeplitz block T_k of the decomposition, repeated
-    by its multiplicity, in one array; each T_k is the leading section of T_n."""
+    """solve(T_k) of each Toeplitz block T_k of the decomposition, ascending,
+    each value repeated by its block's multiplicity; each T_k is the leading
+    section of T_n.  Only the (n+1)(n+2)/2 block values are sorted, stably."""
     q, n = shape.q, shape.depth
     T = toeplitz_dense(f, n)
     blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
-    return np.concatenate([np.repeat(solve(T[: k + 1, : k + 1]), mult) for k, mult in blocks])
+    values = np.concatenate([solve(T[: k + 1, : k + 1]) for k, _ in blocks])
+    mults = np.repeat([mult for _, mult in blocks], [k + 1 for k, _ in blocks])
+    order = np.argsort(values, kind="stable")
+    return np.repeat(values[order], mults[order])
 
 
 def singular_values(op: BranchingOperator) -> np.ndarray:
     """All singular values, descending: those of each block T_k, repeated
     by its multiplicity."""
-    return -np.sort(-_block_spectrum(op.symbol, op.shape, lambda T: np.linalg.svd(T, compute_uv=False)))
+    return _block_spectrum(op.symbol, op.shape, lambda T: np.linalg.svd(T, compute_uv=False))[::-1]
 
 
 def radial_basis(shape) -> np.ndarray:
@@ -230,8 +243,8 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
             cross = np.maximum(cross, np.abs(residual).max())
     if not cross <= bound:
         raise AssertionError(f"cross block of size {cross} exceeds {bound}")
-    radial = float(np.linalg.norm(T, 2))
-    complement = float(np.linalg.norm(T[:n, :n], 2)) if op.shape.q > 1 and n > 0 else 0.0
+    radial = _spectral_norm(T)
+    complement = _spectral_norm(T[:n, :n]) if op.shape.q > 1 and n > 0 else 0.0
     return BlockNorms(radial, complement, max(radial, complement))
 
 
@@ -316,7 +329,7 @@ def cn_sandwich(f: Symbol, n: int, q_max: int):
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    t_norm = float(np.linalg.norm(toeplitz_dense(f, n), 2))
+    t_norm = _spectral_norm(toeplitz_dense(f, n))
     sup = sup_branching_norm(f, n, q_max)
     ratio = sup / t_norm if t_norm > 0 else 1.0
     return t_norm, sup, ratio

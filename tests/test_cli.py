@@ -127,6 +127,13 @@ class TestNorm:
         assert captured.out == line + "\n"
         assert captured.err == f"exact norm {exact!r} (||T_n||), power iteration relative error {err:.3e}\n"
 
+    @pytest.mark.parametrize("f", [TWO_RADIUS, SKEW, '{"coeffs": [[1, 1, 0]]}', '{"coeffs": [[-1, 1, 0]]}'])
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_exact_norm_is_the_dense_two_norm(self, f, n, capsys):
+        main(["norm", "--symbol", f, "--q", "2", "--n", str(n), "--max-iter", "5"])
+        exact = float(np.linalg.norm(toeplitz_dense(Symbol.from_json(f), n), 2))
+        assert capsys.readouterr().err.startswith(f"exact norm {exact!r} (||T_n||)")
+
     @pytest.mark.parametrize("q,n", [(2, 30), (8, 9)])
     def test_too_many_vertices(self, q, n, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -551,6 +558,35 @@ class TestOutDirectory:
         assert captured.err.startswith("error:") and "is a directory" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+
+
+class TestOutNameTooLong:
+    """An --out file name over its directory's NAME_MAX is refused before any work."""
+
+    DPP = ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"]
+
+    @pytest.mark.parametrize("argv, suffix", [
+        (["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"], ""),
+        (["verify", "--case", "A1", "--trials", "1"], ""),
+        (["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"], ""),
+        (DPP, ".samples.jsonl"),
+        (DPP, ".diagnostics.csv"),
+    ])
+    def test_exit_1_before_computing(self, argv, suffix, tmp_path, capsys, monkeypatch):
+        for module, name in ((cli, "operator_norm"), (cli.verify_mod, "run_case_equalities"),
+                             (cli, "toeplitz_dense"), (dpp, "build_kernel")):
+            monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail(f"{argv[0]} computed"))
+        # the named output is one byte over the limit: both dpp names are over
+        # it, or only the diagnostics name, the longer one
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        prefix = "r" * (name_max + 1 - len(suffix))
+        assert suffix != ".diagnostics.csv" or len(prefix + ".samples.jsonl") <= name_max
+        code = main(argv + ["--out", str(tmp_path / prefix)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err == f"error: --out file name {prefix + suffix!r} is longer than {name_max} bytes\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFailedWrite:

@@ -568,6 +568,15 @@ class TestSampleChains:
 HERMITIAN_SYMBOLS = [RAISED_COS, COMPLEX_HERM, RADIUS2, RADIUS3, Symbol({0: 0.5}), Symbol({}), Symbol({0: 1})]
 
 
+def _random_kernel_symbol(seed):
+    """Hermitian, radius 1..3, with h(0) = 1/2 and sum_{k != 0} |h(k)| = 1/2,
+    so its values lie in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, seed % 3 + 1) + 1j * rng.uniform(-1, 1, seed % 3 + 1)
+    c *= 0.25 / np.abs(c).sum()
+    return Symbol({0: 0.5, **{k + 1: v for k, v in enumerate(c)}, **{-k - 1: v.conjugate() for k, v in enumerate(c)}})
+
+
 class TestKernelSpectrum:
     """build_kernel takes the spectrum from the Toeplitz blocks; the dense
     matrix and its eigenbasis are built only when read."""
@@ -580,6 +589,16 @@ class TestKernelSpectrum:
             dense = np.clip(np.linalg.eigh(kernel.matrix)[0], 0.0, 1.0)
             assert kernel.eigenvalues.shape == dense.shape
             assert np.abs(kernel.eigenvalues - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("q", range(1, 5))
+    @pytest.mark.parametrize("f", [*HERMITIAN_SYMBOLS, *(_random_kernel_symbol(seed) for seed in range(3))])
+    def test_bytes_of_the_full_sort(self, f, q):
+        # the reference: all N eigenvalues concatenated block by block, then sorted whole
+        for n in range(8):
+            T = operators.toeplitz_dense(f, n)
+            blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
+            full = np.concatenate([np.repeat(np.linalg.eigvalsh(T[: k + 1, : k + 1]), mult) for k, mult in blocks])
+            assert build_kernel(f, q, n).eigenvalues.tobytes() == np.clip(np.sort(full), 0.0, 1.0).tobytes()
 
     def test_no_dense_step(self, monkeypatch):
         def refuse(*args, **kwargs):

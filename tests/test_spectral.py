@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import defaultdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,6 +296,16 @@ class TestBlockNorms:
                 bn = block_norms(BranchingOperator.uniform(q, n, f))
                 assert bn.complement <= bn.radial + 1e-9
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_norms_are_the_dense_two_norms(self, q):
+        # bit for bit the np.linalg.norm(., 2) of T_n and T_{n-1}
+        rng = np.random.default_rng(29)
+        for f in (random_symbol(rng, 2), Symbol({1: 1}), Symbol({0: 1})):
+            for n in range(1, 6):
+                bn = block_norms(BranchingOperator.uniform(q, n, f))
+                assert bn.radial == float(np.linalg.norm(toeplitz_dense(f, n), 2))
+                assert bn.complement == (float(np.linalg.norm(toeplitz_dense(f, n - 1), 2)) if q > 1 else 0.0)
+
     def test_builds_the_adjoint_once(self, monkeypatch):
         # n + 1 products with M^* through one adjoint operator, not one each
         built = []
@@ -443,6 +454,38 @@ class TestSingularValues:
         expected = np.sort(np.concatenate(pieces))
         assert np.abs(s - expected).max() <= 1e-10
 
+    @pytest.mark.parametrize("q", range(1, 5))
+    @pytest.mark.parametrize("f", [
+        *(random_symbol(np.random.default_rng(seed), seed % 4) for seed in range(4)),
+        Symbol({1: 1}),  # nilpotent shifts: every T_k holds an exact zero
+        Symbol({-1: 1}),
+        Symbol({0: 1}),  # one value, tied across every block
+        Symbol({}),
+    ])
+    def test_bytes_of_the_full_sort(self, f, q):
+        # the reference: all N values concatenated block by block, then sorted whole
+        for n in range(8):
+            T = toeplitz_dense(f, n)
+            blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
+            full = np.concatenate(
+                [np.repeat(np.linalg.svd(T[: k + 1, : k + 1], compute_uv=False), mult) for k, mult in blocks]
+            )
+            s = singular_values(BranchingOperator.uniform(q, n, f))
+            assert s.tobytes() == (-np.sort(-full)).tobytes()
+
+    def test_multiplicities_at_a_million_vertices(self):
+        # (2, 19): N = 2^20 - 1 values from 210 block values
+        f, q, n = random_symbol(np.random.default_rng(27), 2), 2, 19
+        s = singular_values(BranchingOperator.uniform(q, n, f))
+        assert s.size == 2 ** (n + 1) - 1
+        assert np.all(np.diff(s) <= 0)
+        expected = defaultdict(int)
+        for k, mult in [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1)]:
+            for value in np.linalg.svd(toeplitz_dense(f, k), compute_uv=False):
+                expected[value] += mult
+        values, counts = np.unique(s, return_counts=True)
+        assert dict(zip(values, counts)) == expected
+
 
 class TestNormingVector:
     def test_identity_reports_radial(self):
@@ -487,6 +530,13 @@ class TestCnSandwich:
         assert t_norm == pytest.approx(1.0, abs=1e-9)
         assert sup == pytest.approx(1.0, abs=1e-9)
         assert ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_toeplitz_norm_is_the_dense_two_norm(self):
+        rng = np.random.default_rng(30)
+        for f in (random_symbol(rng, 2), random_symbol(rng, 1, "A3"), Symbol({-1: 1})):
+            for n in (1, 3):
+                t_norm, _, _ = cn_sandwich(f, n, 2)
+                assert t_norm == float(np.linalg.norm(toeplitz_dense(f, n), 2))
 
     def test_analytic_ratio_one(self):
         rng = np.random.default_rng(28)
