@@ -11,25 +11,26 @@ Subcommands:
           matrix is built
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep; the
           branching norm is the largest block norm ||T_k|| over k <= n
-          (k = n alone for q = 1), and each order k is solved once per
-          invocation
+          (k = n alone for q = 1); one T_{n_max} is built per invocation
+          and each of its leading sections T_k solved once
 
 Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
 a negative --seed, an unreadable --symbol-file and an output path that
-cannot be written included), 2 norm non-convergence, 3 verification failure,
-4 kernel rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit
-of norm, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
-the dense cap on the tree of dpp or on the largest tree (q_max, n_max) of
-table, each decided from (q, n) before anything is built; dpp and table
-build no dense matrix but still refuse such trees.  verify exits 5 too
-when a dense matrix it builds would be over the cap.
+cannot be written included), 2 norm non-convergence, 3 verification failure
+(a dense solve of verify that does not converge included), 4 kernel
+rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit of norm,
+the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples, the dense
+cap on the tree of dpp or on the largest tree (q_max, n_max) of table,
+each decided from (q, n) before anything is built; dpp and table build
+no dense matrix but still refuse such trees.  verify exits 5 too when a
+dense matrix it builds would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
-byte-identical.  An output path that names a directory, whose
-directory (for a symlink, its target's) does not exist, or whose file
-name is longer than that directory's NAME_MAX bytes, is refused before
-any work.  Files are written after all computation succeeds and
-stdout is printed after them; any other failed write exits 1 with
-nothing on stdout and none of the run's files left.
+byte-identical.  An empty --out, or an output path that names a
+directory, whose directory (for a symlink, its target's) does not exist,
+or whose file name is longer than that directory's NAME_MAX bytes, is
+refused before any work.  Files are written after all computation
+succeeds and stdout is printed after them; any other failed write exits
+1 with nothing on stdout and none of the run's files left.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 
 from . import dpp as dpp_mod
 from . import verify as verify_mod
-from .operators import BranchingOperator, DenseCapError, dense_cap, toeplitz_dense
-from .spectral import POWER_MAX_ITER, POWER_SEED, POWER_TOL, _spectral_norm, operator_norm
+from .operators import BranchingOperator, DenseCapError, _spectral_norm, dense_cap, toeplitz_dense
+from .spectral import POWER_MAX_ITER, POWER_SEED, POWER_TOL, operator_norm
 from .symbols import Symbol
 from .tree import TreeShape
 
@@ -94,13 +95,13 @@ def _load_symbol(args) -> Symbol:
     raise ValueError("a symbol is required (--symbol or --symbol-file)")
 
 
-def _write(stdout: str, files: dict[str, str]) -> None:
-    """Write every file through (an existing symlink or /dev/stdout is
-    written to, not replaced), then print stdout.  A failed write removes
+def _write(stdout: str, paths: list[str], texts: list[str]) -> None:
+    """Write texts[i] to paths[i] through (an existing symlink or /dev/stdout
+    is written to, not replaced), then print stdout.  A failed write removes
     the files already written and any file it created, then re-raises."""
     written = []
     try:
-        for path, text in files.items():
+        for path, text in zip(paths, texts):
             existed = os.path.lexists(path)
             Path(path).write_text(text)
             written.append(path)
@@ -205,23 +206,26 @@ def cmd_norm(args) -> int:
     else:
         text = json.dumps({"norm": report.norm_estimate, "method": NORM_METHOD,
                            "iterations": report.iterations, "residual": report.residual}) + "\n"
-    _write(text, {args.out: text} if args.out else {})
+    _write(text, args.outputs, [text])
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
         return _fail("--trials must be >= 1", EXIT_INPUT)
-    if args.case:
-        results = [
-            verify_mod.run_case_equalities(
-                args.case, seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry
-            )
-        ]
-    else:
-        results = verify_mod.run_all(seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry)
+    try:
+        if args.case:
+            results = [
+                verify_mod.run_case_equalities(
+                    args.case, seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry
+                )
+            ]
+        else:
+            results = verify_mod.run_all(seed=args.seed, trials=args.trials, fuzz=args.fuzz_entry)
+    except np.linalg.LinAlgError as exc:
+        return _fail(str(exc), EXIT_VERIFY_FAILED)
     text = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results)
-    _write(text, {args.out: text} if args.out else {})
+    _write(text, args.outputs, [text])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -241,9 +245,8 @@ def cmd_dpp(args) -> int:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
     draws = dpp_mod.sample_chains(kernel, dpp_mod.sample_seeds(args.samples, args.seed))
     report = dpp_mod.sssp_statistics(kernel, draws)
-    samples_path, diagnostics_path = (args.out + s for s in DPP_SUFFIXES)
-    _write(f"wrote {samples_path} and {diagnostics_path}\n",
-           {samples_path: dpp_mod.samples_to_jsonl(draws), diagnostics_path: report.to_csv()})
+    _write("wrote {} and {}\n".format(*args.outputs), args.outputs,
+           [dpp_mod.samples_to_jsonl(draws), report.to_csv()])
     return EXIT_OK
 
 
@@ -255,9 +258,10 @@ def cmd_table(args) -> int:
         return code
     # the operator is unitarily T_n + T_{n-1} x (q-1) + ... + T_0 x (q-1)q^(n-1),
     # so its norm is ||T_n|| for q = 1 and the largest ||T_k||, k <= n, for
-    # q >= 2, bit for bit the top of singular_values: one SVD per order
-    # serves the whole grid
-    top = [_spectral_norm(toeplitz_dense(args.f, k)) for k in range(args.n_max + 1)]
+    # q >= 2, bit for bit the top of singular_values: T_k is the leading
+    # section of T_{n_max}, and one SVD per order serves the whole grid
+    T = toeplitz_dense(args.f, args.n_max)
+    top = [_spectral_norm(T[: k + 1, : k + 1]) for k in range(args.n_max + 1)]
     cells = []
     # an empty range of n leaves no row, however large q_max is
     for q in range(1, args.q_max + 1) if args.n_max >= 1 else ():
@@ -272,7 +276,7 @@ def cmd_table(args) -> int:
         rows = [",".join(columns)]
         rows += [f"{q},{n},{bn!r},{tn!r},{gap!r}" for q, n, bn, tn, gap in cells]
         text = "\n".join(rows) + "\n"
-    _write(text, {args.out: text} if args.out else {})
+    _write(text, args.outputs, [text])
     return EXIT_OK
 
 
@@ -287,11 +291,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be >= 0")
-        # no path the run writes may be a directory, lie in a missing one or
-        # have a name over its directory's NAME_MAX, a symlink's target
-        # included, so a refused --out leaves no output and costs no computation
+        if args.out == "":
+            raise ValueError("--out must not be empty")
+        # the run's output paths, none without --out: none may be a directory, lie
+        # in a missing one or have a name over its directory's NAME_MAX, a symlink's
+        # target included, so a refused --out leaves no output and costs no computation
         suffixes = DPP_SUFFIXES if handler is cmd_dpp else ("",)
-        for path in ((args.out or "") + s for s in suffixes):
+        args.outputs = [args.out + s for s in suffixes] if args.out else []
+        for path in args.outputs:
             if os.path.isdir(path):
                 raise ValueError(f"--out path {path!r} is a directory")
             target = os.path.realpath(path) if os.path.islink(path) else path

@@ -267,6 +267,12 @@ def toeplitz_dense(symbol: Symbol, n: int) -> np.ndarray:
     return h[idx[:, None] - idx[None, :] + n]
 
 
+def _spectral_norm(A: np.ndarray) -> float:
+    """||A||_2, the top of the singular values that np.linalg.norm(A, 2)
+    takes the max of, without its moveaxis and amax."""
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 def gauge_transform(op: BranchingOperator, t: float) -> BranchingOperator:
     """Conjugate by the diagonal phase e^{-i t |u|}; same as rotating the symbol."""
     return BranchingOperator(op.weights, op.shape, rotate(op.symbol, t))
@@ -292,7 +298,7 @@ class OperatorTuple:
     def contraction_norm(self) -> float:
         """Spectral norm of sum_k A_k^* A_k (kernel positivity needs <= 1)."""
         s = sum(A.conj().T @ A for A in self.matrices)
-        return float(np.linalg.norm(s, 2))
+        return _spectral_norm(s)
 
 
 def op_valued_entry(A: OperatorTuple, f: Symbol, u: Vertex, v: Vertex, shape: TreeShape) -> np.ndarray:

@@ -23,9 +23,10 @@ radial_compress applies M to the weighted radial columns in one stacked
 product, and block_norms in chunks of columns within a fixed byte budget,
 one column at a time at large N.
 
+Every dense 2-norm is operators._spectral_norm, the top of one bare SVD.
 The dense matrix stays the independent oracle: operator_norm_dense is the
-float top singular value of materialize(), the reference that the tests
-and sup_branching_norm (on trees of up to SANDWICH_DENSE_ROWS vertices)
+2-norm of materialize(), the reference that the tests and
+sup_branching_norm (on trees of up to SANDWICH_DENSE_ROWS vertices)
 measure against, and radial_blocks measures the radial block structure of
 any dense matrix for the verify suites.  operator_norm is a matrix-free
 power iteration on x -> G* G x.  Its seeded start lies in the weighted
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BranchingOperator, toeplitz_dense
+from .operators import BranchingOperator, _spectral_norm, toeplitz_dense
 from .symbols import Symbol
 
 __all__ = [
@@ -139,13 +140,7 @@ def operator_norm(
 
 def operator_norm_dense(op: BranchingOperator) -> float:
     """Operator norm from the dense SVD of the materialized matrix."""
-    return float(np.linalg.svd(op.materialize(), compute_uv=False)[0])
-
-
-def _spectral_norm(A: np.ndarray) -> float:
-    """||A||_2, the top of the singular values that np.linalg.norm(A, 2)
-    takes the max of, without its moveaxis and amax."""
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return _spectral_norm(op.materialize())
 
 
 def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
@@ -209,9 +204,7 @@ def radial_blocks(M: np.ndarray, shape):
     QMP = (M @ H - H @ R) @ H.T
     cross = max(np.abs(H @ (A - R @ H.T)).max(), np.abs(QMP).max())
     QMQ = M - H @ A - QMP
-    norms = BlockNorms(
-        float(np.linalg.norm(R, 2)), float(np.linalg.norm(QMQ, 2)), float(np.linalg.norm(M, 2))
-    )
+    norms = BlockNorms(_spectral_norm(R), _spectral_norm(QMQ), _spectral_norm(M))
     return float(cross), norms
 
 

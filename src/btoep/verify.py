@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BranchingOperator, toeplitz_dense
+from .operators import BranchingOperator, _spectral_norm, toeplitz_dense
 from .spectral import cn_sandwich, radial_blocks, radial_compress, singular_values
 from .symbols import Symbol, fejer_kernel, poly_product
 
@@ -128,8 +128,8 @@ def run_case_equalities(case="A2", seed=2, trials=50, fuzz=False) -> SuiteResult
     """Branching norm equals Toeplitz norm for class A1/A2/A3 symbols."""
     residuals = []
     for _, n, f, op in _cases(np.random.default_rng(seed), trials, range(2, 6), case):
-        bn = np.linalg.norm(_maybe_fuzz(op.materialize(), fuzz), 2)
-        tn = np.linalg.norm(toeplitz_dense(f, n), 2)
+        bn = _spectral_norm(_maybe_fuzz(op.materialize(), fuzz))
+        tn = _spectral_norm(toeplitz_dense(f, n))
         residuals.append(abs(bn - tn) / (1 + tn))
     return _verdict(f"case_{case}_norm_equality", residuals, 1e-8)
 

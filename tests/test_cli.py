@@ -221,6 +221,24 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("argv", [["verify", "--trials", "1"], ["verify", "--case", "A1", "--trials", "1"]])
+    def test_failed_dense_solve_exits_3(self, argv, tmp_path, capsys, monkeypatch):
+        # a NaN in every materialized matrix: an SVD that does not converge
+        materialize = operators._Kernel.materialize
+
+        def corrupt(kernel):
+            M = materialize(kernel)
+            M[-1, 0] = np.nan
+            return M
+
+        monkeypatch.setattr(operators._Kernel, "materialize", corrupt)
+        code = main(argv + ["--out", str(tmp_path / "verify.jsonl")])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY_FAILED
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDpp:
     def test_writes_samples_and_diagnostics(self, tmp_path, capsys):
@@ -493,24 +511,48 @@ class TestTableOracle:
         assert _table(f, q_max, n_max) == (EXIT_OK, expected)
 
     def test_solves_each_order_once(self, monkeypatch):
-        # by the block theorem the grid needs ||T_k|| for k = 0..n_max alone:
-        # no operator, no spectrum of one
+        # by the block theorem the grid needs ||T_k|| for k = 0..n_max alone,
+        # each a leading section of one T_{n_max}: no operator, no spectrum of one
         def refuse(*args, **kwargs):
             raise AssertionError("btoep table built an operator or its spectrum")
 
-        orders = []
-        dense = cli.toeplitz_dense
+        built, solved = [], []
+        dense, norm = cli.toeplitz_dense, cli._spectral_norm
 
-        def count(f, k):
-            orders.append(k)
+        def build(f, k):
+            built.append(k)
             return dense(f, k)
+
+        def solve(A):
+            solved.append(A.shape[0] - 1)
+            return norm(A)
 
         monkeypatch.setattr(spectral, "singular_values", refuse)
         monkeypatch.setattr(BranchingOperator, "uniform", refuse)
-        monkeypatch.setattr(cli, "toeplitz_dense", count)
+        monkeypatch.setattr(cli, "toeplitz_dense", build)
+        monkeypatch.setattr(cli, "_spectral_norm", solve)
         code, _ = _table(TWO_RADIUS, 4, 5)
         assert code == EXIT_OK
-        assert sorted(orders) == list(range(6))
+        assert built == [5]
+        assert sorted(solved) == list(range(6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "1"],
+    ["table", "--symbol", TWO_RADIUS, "--q-max", "4", "--n-max", "5"],
+])
+def test_every_dense_two_norm_is_one_svd(argv, capsys, monkeypatch):
+    # operators._spectral_norm takes each dense 2-norm, so np.linalg.norm
+    # is left with the vector norms
+    norm = np.linalg.norm
+
+    def vector_norms_only(x, ord=None, *args, **kwargs):
+        assert ord != 2, "np.linalg.norm(., 2) called"
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", vector_norms_only)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
 
 
 class TestParser:
@@ -539,6 +581,25 @@ class TestBadArguments:
         assert code == EXIT_INPUT
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"],
+    ["verify", "--trials", "1"],
+    ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"],
+    ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"],
+])
+def test_empty_out_is_refused_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    for module, name in ((cli, "operator_norm"), (cli.verify_mod, "run_all"),
+                         (cli, "toeplitz_dense"), (dpp, "build_kernel")):
+        monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail(f"{argv[0]} computed"))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + ["--out", ""])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err == "error: --out must not be empty\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestOutDirectory:

@@ -11,6 +11,7 @@ from btoep.operators import (
     op_valued_materialize,
     toeplitz_dense,
     _Kernel,
+    _spectral_norm,
 )
 from btoep.spectral import block_norms, radial_compress
 from btoep.symbols import Symbol
@@ -374,6 +375,28 @@ class TestToeplitz:
         f = random_symbol(rng, 3)
         op = BranchingOperator.uniform(1, 5, f)
         assert np.allclose(op.materialize(), toeplitz_dense(f, 5), atol=1e-15)
+
+
+def test_spectral_norm_is_the_dense_two_norm_bit_for_bit():
+    # the amax that np.linalg.norm(A, 2) takes of the descending svd is its first entry
+    rng = np.random.default_rng(29)
+    corpus = [np.zeros((1, 1)), np.zeros((4, 3), dtype=complex), np.array([[-2.5]]), np.array([[1j]])]
+    for m, n in [(1, 5), (5, 1), (3, 3), (7, 4), (4, 7), (40, 40)]:
+        corpus.append(rng.standard_normal((m, n)))
+        corpus.append(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    # rank-deficient: an outer product, and a repeated row
+    u, v = rng.standard_normal(6) + 1j * rng.standard_normal(6), rng.standard_normal(5)
+    corpus += [np.outer(u, v), np.repeat(rng.standard_normal((1, 6)), 4, axis=0)]
+    # the sizes verify measures: sections T_1..T_6, whole operators up to
+    # (3, 5), N = 364, and the 4 x 4 complex sum of a weight tuple
+    f = random_symbol(rng, 3)
+    corpus += [toeplitz_dense(f, n) for n in range(1, 7)]
+    corpus += [BranchingOperator.uniform(q, n, f).materialize() for q in (2, 3) for n in (2, 5)]
+    weights = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    corpus.append(sum(A.conj().T @ A for A in weights))
+    for A in corpus:
+        assert _spectral_norm(A) == float(np.linalg.norm(A, 2))
+    assert OperatorTuple(weights).contraction_norm == float(np.linalg.norm(corpus[-1], 2))
 
 
 class TestGauge:
