@@ -14,16 +14,20 @@ Subcommands:
           (k = n alone for q = 1); one T_{n_max} is built per invocation
           and each of its leading sections T_k solved once
 
-Exit codes: 0 success, 1 malformed input (a malformed BTOEP_DENSE_CAP,
-a negative --seed, an unreadable --symbol-file and an output path that
-cannot be written included), 2 norm non-convergence, 3 verification failure
-(a dense solve of verify that does not converge included), 4 kernel
-rejection, 5 size limit exceeded: the MAX_NORM_VERTICES limit of norm,
-the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples, the dense
-cap on the tree of dpp or on the largest tree (q_max, n_max) of table,
-each decided from (q, n) before anything is built; dpp and table build
-no dense matrix but still refuse such trees.  verify exits 5 too when a
-dense matrix it builds would be over the cap.
+Exit codes: 0 success (-h included), 1 malformed input: every malformed
+command line, one error line and no usage (the parser's ranges: --q,
+--q-max >= 1; --n, --n-max >= 0; --samples >= 1000; --trials, --max-iter
+>= 1; --seed >= 0; --tol finite and > 0; one of --symbol, --symbol-file),
+a malformed or negative BTOEP_DENSE_CAP, an unreadable --symbol-file or
+an output path that cannot be written; 2 norm non-convergence, 3
+verification failure (a dense solve of verify that does not converge
+included), 4 kernel rejection, 5 size limit exceeded: the
+MAX_NORM_VERTICES limit of norm on vertices or, at any depth, on the q
+weights, the MAX_DPP_VERTEX_SAMPLES limit of dpp on vertices x samples,
+the dense cap on the tree of dpp or on the largest tree (q_max, n_max)
+of table, each decided from (q, n) before anything is built; dpp and
+table build no dense matrix but still refuse such trees.  verify exits 5
+too when a dense matrix it builds would be over the cap.
 Outputs depend only on the arguments and the seed, so reruns are
 byte-identical.  An empty --out, or an output path that names a
 directory, whose directory (for a symlink, its target's) does not exist,
@@ -82,17 +86,12 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _load_symbol(args) -> Symbol:
-    if args.symbol and args.symbol_file:
-        raise ValueError("give either --symbol or --symbol-file, not both")
-    if args.symbol:
+    if args.symbol_file is None:
         return Symbol.from_json(args.symbol)
-    if args.symbol_file:
-        try:
-            text = Path(args.symbol_file).read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read --symbol-file: {exc}") from exc
-        return Symbol.from_json(text)
-    raise ValueError("a symbol is required (--symbol or --symbol-file)")
+    try:
+        return Symbol.from_json(Path(args.symbol_file).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read --symbol-file: {exc}") from exc
 
 
 def _write(stdout: str, paths: list[str], texts: list[str]) -> None:
@@ -115,31 +114,48 @@ def _write(stdout: str, paths: list[str], texts: list[str]) -> None:
     print(stdout, end="")
 
 
-def _limit_exceeded(q: int, n: int, what: str, limit: int, samples: int = 1) -> int:
-    per, unit = (f" x {samples} samples", "vertex-samples") if samples > 1 else ("", "vertices")
-    return _fail(f"(q={q}, n={n}){per} is over the {what} of {limit} {unit}", EXIT_CAP_EXCEEDED)
+class _SizeLimitError(Exception):
+    """A tree refused from (q, n) before anything is built; main exits 5."""
 
 
-def _over_limit(q: int, n: int, what: str, limit: int, samples: int = 1) -> int | None:
-    """Exit 5 with an error line when |B_n| x samples is over limit, else None.
+def _check_limit(q: int, n: int, what: str, limit: int, samples: int = 1, width: int = 1) -> None:
+    """Raise _SizeLimitError when |B_n| x samples, or width, is over limit.
 
     For q >= 2, |B_n| >= 2^n, so a depth of limit.bit_length() or more is
     over the limit and q^(n+1) is only formed for trees near it.
     """
-    if (q > 1 and n >= limit.bit_length()) or TreeShape(q, n).vertex_count * samples > limit:
-        return _limit_exceeded(q, n, what, limit, samples)
-    return None
+    if width > limit or (q > 1 and n >= limit.bit_length()) or TreeShape(q, n).vertex_count * samples > limit:
+        per, unit = (f" x {samples} samples", "vertex-samples") if samples > 1 else ("", "vertices")
+        raise _SizeLimitError(f"(q={q}, n={n}){per} is over the {what} of {limit} {unit}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line, so main exits 1; -h exits 0."""
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _at_least(kind, low, strict=False):
+    """argparse type: kind(text), >= low (> low if strict), finite; named kind for its error text."""
+    def parse(text):
+        value = kind(text)
+        if not (low < value < np.inf if strict else low <= value < np.inf):
+            raise argparse.ArgumentTypeError(f"must be {'finite and > ' if strict else '>= '}{low}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _add_symbol_args(p):
-    p.add_argument("--symbol", help='inline symbol JSON {"coeffs": [[k, re, im], ...]}')
-    p.add_argument("--symbol-file", help="path to a symbol JSON file")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--symbol", help='inline symbol JSON {"coeffs": [[k, re, im], ...]}')
+    group.add_argument("--symbol-file", help="path to a symbol JSON file")
 
 
 # one parser per process: parse_args reads it and never changes it
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="btoep",
         description="Branching-Toeplitz operators on rooted homogeneous trees",
     )
@@ -147,34 +163,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="matrix-free operator norm")
     _add_symbol_args(p_norm)
-    p_norm.add_argument("--q", type=int, required=True)
-    p_norm.add_argument("--n", type=int, required=True)
-    p_norm.add_argument("--tol", type=float, default=POWER_TOL)
-    p_norm.add_argument("--max-iter", type=int, default=POWER_MAX_ITER)
-    p_norm.add_argument("--seed", type=int, default=POWER_SEED)
+    p_norm.add_argument("--q", type=_at_least(int, 1), required=True)
+    p_norm.add_argument("--n", type=_at_least(int, 0), required=True)
+    p_norm.add_argument("--tol", type=_at_least(float, 0, strict=True), default=POWER_TOL)
+    p_norm.add_argument("--max-iter", type=_at_least(int, 1), default=POWER_MAX_ITER)
+    p_norm.add_argument("--seed", type=_at_least(int, 0), default=POWER_SEED)
     p_norm.add_argument("--format", choices=["json", "csv"], default="json")
     p_norm.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
     p_verify.add_argument("--case", choices=["A1", "A2", "A3"])
-    p_verify.add_argument("--trials", type=int, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=_at_least(int, 1), default=20)
+    p_verify.add_argument("--seed", type=_at_least(int, 0), default=0)
     p_verify.add_argument("--fuzz-entry", action="store_true",
                           help="inject a perturbation (negative control)")
     p_verify.add_argument("--out")
 
     p_dpp = sub.add_parser("dpp", help="sample the determinantal point process")
     _add_symbol_args(p_dpp)
-    p_dpp.add_argument("--q", type=int, required=True)
-    p_dpp.add_argument("--n", type=int, required=True)
-    p_dpp.add_argument("--samples", type=int, default=10000)
-    p_dpp.add_argument("--seed", type=int, default=0)
+    p_dpp.add_argument("--q", type=_at_least(int, 1), required=True)
+    p_dpp.add_argument("--n", type=_at_least(int, 0), required=True)
+    p_dpp.add_argument("--samples", type=_at_least(int, dpp_mod.MIN_SAMPLES), default=10000)
+    p_dpp.add_argument("--seed", type=_at_least(int, 0), default=0)
     p_dpp.add_argument("--out", default="dpp", help="output prefix for .samples.jsonl / .diagnostics.csv")
 
     p_table = sub.add_parser("table", help="norm comparison table over (q, n)")
     _add_symbol_args(p_table)
-    p_table.add_argument("--q-max", type=int, default=4)
-    p_table.add_argument("--n-max", type=int, default=4)
+    p_table.add_argument("--q-max", type=_at_least(int, 1), default=4)
+    p_table.add_argument("--n-max", type=_at_least(int, 0), default=4)
     p_table.add_argument("--format", choices=["json", "csv"], default="csv")
     p_table.add_argument("--out")
 
@@ -182,13 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_norm(args) -> int:
-    if args.q < 1 or args.n < 0 or not 0 < args.tol < np.inf or args.max_iter < 1:
-        return _fail("invalid numeric parameters", EXIT_INPUT)
     # |B_0| = 1 passes any q, but the weights alone hold q entries
-    if args.q > MAX_NORM_VERTICES:
-        return _limit_exceeded(args.q, args.n, "norm limit", MAX_NORM_VERTICES)
-    if code := _over_limit(args.q, args.n, "norm limit", MAX_NORM_VERTICES):
-        return code
+    _check_limit(args.q, args.n, "norm limit", MAX_NORM_VERTICES, width=args.q)
     op = BranchingOperator.uniform(args.q, args.n, args.f)
     report = operator_norm(op, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     if args.n + 1 > EXACT_NORM_MAX_ORDER:
@@ -211,8 +222,6 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        return _fail("--trials must be >= 1", EXIT_INPUT)
     try:
         if args.case:
             results = [
@@ -230,13 +239,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dpp(args) -> int:
-    if args.q < 1 or args.n < 0 or args.samples < dpp_mod.MIN_SAMPLES:
-        return _fail(f"invalid numeric parameters (need samples >= {dpp_mod.MIN_SAMPLES})", EXIT_INPUT)
-    if code := _over_limit(args.q, args.n, "dpp limit", MAX_DPP_VERTEX_SAMPLES, args.samples):
-        return code
+    _check_limit(args.q, args.n, "dpp limit", MAX_DPP_VERTEX_SAMPLES, args.samples)
     # no dense matrix is built, but trees over the dense cap stay refused
-    if code := _over_limit(args.q, args.n, "dense cap", dense_cap()):
-        return code
+    _check_limit(args.q, args.n, "dense cap", dense_cap())
     try:
         # the [0, 1] check and the eigenvalues of the cardinality rows, both
         # from the Toeplitz blocks; the chain sampler reads only the symbol
@@ -251,11 +256,8 @@ def cmd_dpp(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.q_max < 1 or args.n_max < 0:
-        return _fail("invalid numeric parameters", EXIT_INPUT)
     # vertex counts grow with q, so the largest tree of the grid is (q_max, n_max)
-    if code := _over_limit(args.q_max, args.n_max, "dense cap", dense_cap()):
-        return code
+    _check_limit(args.q_max, args.n_max, "dense cap", dense_cap())
     # the operator is unitarily T_n + T_{n-1} x (q-1) + ... + T_0 x (q-1)q^(n-1),
     # so its norm is ||T_n|| for q = 1 and the largest ||T_k||, k <= n, for
     # q >= 2, bit for bit the top of singular_values: T_k is the leading
@@ -281,16 +283,9 @@ def cmd_table(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "norm": cmd_norm,
-        "verify": cmd_verify,
-        "dpp": cmd_dpp,
-        "table": cmd_table,
-    }[args.command]
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("--seed must be >= 0")
+        args = build_parser().parse_args(argv)
+        handler = {"norm": cmd_norm, "verify": cmd_verify, "dpp": cmd_dpp, "table": cmd_table}[args.command]
         if args.out == "":
             raise ValueError("--out must not be empty")
         # the run's output paths, none without --out: none may be a directory, lie
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_INPUT)
     try:
         return handler(args)
-    except DenseCapError as exc:
+    except (DenseCapError, _SizeLimitError) as exc:
         return _fail(str(exc), EXIT_CAP_EXCEEDED)
     except OSError as exc:
         # an --out that cannot be written even though its directory exists

@@ -61,9 +61,11 @@ class DenseCapError(ValueError):
 def dense_cap() -> int:
     raw = os.environ.get("BTOEP_DENSE_CAP", str(DEFAULT_DENSE_CAP))
     try:
-        return int(raw)
+        if (cap := int(raw)) >= 0:
+            return cap
     except ValueError:
-        raise ValueError(f"BTOEP_DENSE_CAP must be an integer, got {raw!r}") from None
+        pass
+    raise ValueError(f"BTOEP_DENSE_CAP must be an integer >= 0, got {raw!r}")
 
 
 def _check_cap(rows: int) -> None:

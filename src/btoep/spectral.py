@@ -12,13 +12,15 @@ weights 1_{generation k} / q^(k/2)), and each later copy on the radial
 vectors of one child subtree mixed by a sibling contrast c with
 sum_j conj(a_j) c_j = 0.  singular_values, certify_positive, block_norms
 and norming_vector therefore take an operator and solve only its
-(k+1) x (k+1) blocks: O(n^3) dense work plus O(N) output, with no dense
-cap.  A spectrum sorts its (n+1)(n+2)/2 block values, then repeats each
-by its multiplicity, so its N values are never sorted.  T_{k-1} is a
-principal submatrix of T_k, so by interlacing the operator norm is
-||T_n||, the complement of the radial block has norm ||T_{n-1}|| and a
-Hermitian operator's smallest eigenvalue is T_n's, so each spectrum
-builds T_n once and solves its leading sections.
+(k+1) x (k+1) blocks, with no dense cap: O(n^3) dense work plus O(N)
+output, plus for block_norms the 2(n+1) matrix-free products of its
+block-theorem check, O(nN) work (about 0.58 s at (q, n) = (2, 19)).  A
+spectrum sorts its (n+1)(n+2)/2 block values, then repeats each by its
+multiplicity, so its N values are never sorted.  T_{k-1} is a principal
+submatrix of T_k, so by interlacing the operator norm is ||T_n||, the
+complement of the radial block has norm ||T_{n-1}|| and a Hermitian
+operator's smallest eigenvalue is T_n's, so each spectrum builds T_n
+once and solves its leading sections.
 radial_compress applies M to the weighted radial columns in one stacked
 product, and block_norms in chunks of columns within a fixed byte budget,
 one column at a time at large N.

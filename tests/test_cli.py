@@ -602,6 +602,108 @@ def test_empty_out_is_refused_before_any_work(argv, tmp_path, capsys, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+class TestInputGate:
+    """Every malformed command line exits 1 with one error line, computes
+    nothing and writes nothing; main returns instead of raising SystemExit."""
+
+    NORM = ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"]
+    DPP = ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"]
+    TABLE = ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"]
+
+    @staticmethod
+    def _refused(argv, tmp_path, capsys, monkeypatch):
+        for module, name in ((cli, "operator_norm"), (cli.verify_mod, "run_all"),
+                             (cli, "toeplitz_dense"), (dpp, "build_kernel")):
+            monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail(f"{argv} computed"))
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        return captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--symbol", CONST_ONE, "--q", "abc", "--n", "2"],
+        ["norm", "--symbol", CONST_ONE, "--n", "2"],
+        ["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2", "--format", "xml"],
+        ["table", "--symbol", CONST_ONE, "--bogus"],
+        ["verify", "--trials", "1", "--case", "A4"],
+        ["frob"],
+        [],
+        ["norm", "--symbol", CONST_ONE, "--symbol-file", "f.json", "--q", "2", "--n", "2"],
+        ["dpp", "--q", "2", "--n", "2", "--samples", "1000"],
+    ])
+    def test_malformed_command_line(self, argv, tmp_path, capsys, monkeypatch):
+        err = self._refused(argv, tmp_path, capsys, monkeypatch)
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        (NORM[:4] + ["0", "--n", "2"], "--q", "must be >= 1, got 0"),
+        (NORM[:6] + ["-1"], "--n", "must be >= 0, got -1"),
+        (NORM + ["--max-iter", "0"], "--max-iter", "must be >= 1, got 0"),
+        (NORM + ["--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (NORM + ["--tol", "0"], "--tol", "must be finite and > 0, got 0.0"),
+        (NORM + ["--tol", "inf"], "--tol", "must be finite and > 0, got inf"),
+        (["verify", "--trials", "0"], "--trials", "must be >= 1, got 0"),
+        (["verify", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (DPP[:4] + ["0"] + DPP[5:], "--q", "must be >= 1, got 0"),
+        (DPP[:6] + ["-1"] + DPP[7:], "--n", "must be >= 0, got -1"),
+        (DPP[:8] + [str(dpp.MIN_SAMPLES - 1)], "--samples", f"must be >= {dpp.MIN_SAMPLES}, got 999"),
+        (DPP + ["--seed", "-1"], "--seed", "must be >= 0, got -1"),
+        (TABLE[:4] + ["0"] + TABLE[5:], "--q-max", "must be >= 1, got 0"),
+        (TABLE[:6] + ["-1"], "--n-max", "must be >= 0, got -1"),
+    ])
+    def test_range_one_step_below_its_bound(self, argv, flag, message, tmp_path, capsys, monkeypatch):
+        err = self._refused(argv, tmp_path, capsys, monkeypatch)
+        assert err == f"error: argument {flag}: {message}\n"
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (NORM[:4] + ["1", "--n", "0"], "q", 1),
+        (NORM[:6] + ["0"], "n", 0),
+        (NORM + ["--max-iter", "1"], "max_iter", 1),
+        (NORM + ["--seed", "0"], "seed", 0),
+        (NORM + ["--tol", "5e-324"], "tol", 5e-324),
+        (["verify", "--trials", "1"], "trials", 1),
+        (["verify", "--seed", "0"], "seed", 0),
+        (DPP[:4] + ["1"] + DPP[5:], "q", 1),
+        (DPP[:6] + ["0"] + DPP[7:], "n", 0),
+        (DPP[:8] + [str(dpp.MIN_SAMPLES)], "samples", dpp.MIN_SAMPLES),
+        (DPP + ["--seed", "0"], "seed", 0),
+        (TABLE[:4] + ["1"] + TABLE[5:], "q_max", 1),
+        (TABLE[:6] + ["0"], "n_max", 0),
+    ])
+    def test_each_bound_is_accepted(self, argv, dest, value):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+
+    def test_no_handler_refuses_a_bound(self, capsys):
+        # the parser is the only range check: the bounds run to a result
+        argv = self.NORM[:4] + ["1", "--n", "0", "--max-iter", "1", "--tol", "5e-324", "--seed", "0"]
+        assert main(argv) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        assert main(["table", "--symbol", CONST_ONE, "--q-max", "1", "--n-max", "0"]) == EXIT_OK
+        assert main(["verify", "--case", "A1", "--trials", "1", "--seed", "0"]) == EXIT_OK
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["norm", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: btoep")
+
+    @pytest.mark.parametrize("argv", [[], ["norm", "--q", "abc", "--n", "2"]])
+    def test_subprocess_prints_no_usage(self, argv, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "btoep.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "usage:" not in proc.stderr and proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestOutDirectory:
     """An --out that names a directory is refused before any work."""
 
@@ -741,6 +843,20 @@ class TestDenseCapSetting:
         assert captured.err.startswith("error:") and "BTOEP_DENSE_CAP" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"],
+        ["verify", "--trials", "1"],
+        ["dpp", "--symbol", RAISED_COS, "--q", "2", "--n", "2", "--samples", "1000"],
+    ])
+    def test_negative_cap_is_malformed(self, argv, capsys, monkeypatch):
+        # not a cap that every tree is over: refused before any work, exit 1
+        monkeypatch.setenv("BTOEP_DENSE_CAP", "-1")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.err == "error: BTOEP_DENSE_CAP must be an integer >= 0, got '-1'\n"
+        assert captured.out == ""
+
 
 class TestOversizedInput:
     """Trees far past a size limit exit 5 at once, decided from (q, n) alone."""
@@ -764,13 +880,16 @@ class TestOversizedInput:
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_limit_decision_matches_vertex_count(self, capsys):
+    def test_limit_decision_matches_vertex_count(self):
         # the depth shortcut must agree with |B_n| x samples > limit wherever both can be formed
         for limit in (0, 1, 7, 8, 4096, 15000, 2**26):
             for q in (1, 2, 3, 7):
                 for n in range(0, 32):
                     for samples in (1, 1000):
                         over = TreeShape(q, n).vertex_count * samples > limit
-                        code = cli._over_limit(q, n, "test limit", limit, samples)
-                        assert code == (EXIT_CAP_EXCEEDED if over else None)
-        capsys.readouterr()
+                        with pytest.raises(cli._SizeLimitError) if over else contextlib.nullcontext():
+                            cli._check_limit(q, n, "test limit", limit, samples)
+        # a width over the limit is refused whatever the tree: |B_0| = 1 here
+        cli._check_limit(9, 0, "test limit", 9, width=9)
+        with pytest.raises(cli._SizeLimitError, match=r"^\(q=10, n=0\) is over the test limit of 9 vertices$"):
+            cli._check_limit(10, 0, "test limit", 9, width=10)

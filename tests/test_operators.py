@@ -338,6 +338,19 @@ class TestMaterialize:
         op = BranchingOperator.uniform(2, 4, Symbol({0: 1}))
         assert op.materialize().shape == (31, 31)
 
+    def test_negative_cap_is_malformed(self, monkeypatch):
+        # refused like a non-integer, not read as a cap every matrix is over
+        op = BranchingOperator.uniform(2, 1, Symbol({0: 1}))
+        for raw in ("abc", "-1"):
+            monkeypatch.setenv("BTOEP_DENSE_CAP", raw)
+            with pytest.raises(ValueError, match="BTOEP_DENSE_CAP must be an integer >= 0") as info:
+                op.materialize()
+            assert not isinstance(info.value, DenseCapError)
+        # zero is a cap: every matrix is over it
+        monkeypatch.setenv("BTOEP_DENSE_CAP", "0")
+        with pytest.raises(DenseCapError, match="exceeds cap 0"):
+            op.materialize()
+
 
 class TestToeplitz:
     def test_skew_example(self):
