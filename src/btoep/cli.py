@@ -33,8 +33,10 @@ byte-identical.  An empty --out, or an output path that names a
 directory, whose directory (for a symlink, its target's) does not exist,
 or whose file name is longer than that directory's NAME_MAX bytes, is
 refused before any work.  Files are written after all computation
-succeeds and stdout is printed after them; any other failed write exits
-1 with nothing on stdout and none of the run's files left.
+succeeds (dpp's samples file is formatted line by line as it is written
+through, from the draws already made) and stdout is printed after them;
+any other failed write exits 1 with nothing on stdout and none of the
+run's files left.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -70,9 +73,10 @@ MAX_NORM_VERTICES = 2**26
 # order n + 1; only q = 1 can reach this order under MAX_NORM_VERTICES
 EXACT_NORM_MAX_ORDER = 1024
 # dpp refuses more vertices x samples than this before allocating: it
-# holds every draw until both files are written, an occupancy byte per
-# vertex and sample for the diagnostics plus about 40 bytes per drawn
-# point for the samples and their JSON lines
+# holds every draw until both files are written, as an occupancy byte per
+# vertex and sample (64 MiB at the limit), which the diagnostics read and
+# the samples file is formatted from line by line; the diagnostics add
+# about two more bytes per vertex and sample of the deepest generations
 MAX_DPP_VERTEX_SAMPLES = 2**26
 # dpp writes --out with each of these appended
 DPP_SUFFIXES = (".samples.jsonl", ".diagnostics.csv")
@@ -94,17 +98,22 @@ def _load_symbol(args) -> Symbol:
         raise ValueError(f"cannot read --symbol-file: {exc}") from exc
 
 
-def _write(stdout: str, paths: list[str], texts: list[str]) -> None:
-    """Write texts[i] to paths[i] through (an existing symlink or /dev/stdout
-    is written to, not replaced), then print stdout.  A failed write removes
-    the files already written and any file it created, then re-raises."""
+def _write(stdout: str, paths: list[str], texts: list) -> None:
+    """Write texts[i], a string or an iterable of strings written one by
+    one, to paths[i] through (an existing symlink or /dev/stdout is written
+    to, not replaced), then print stdout.  A failed write removes the files
+    already written and any file it created, then re-raises."""
     written = []
     try:
         for path, text in zip(paths, texts):
             existed = os.path.lexists(path)
-            Path(path).write_text(text)
+            if isinstance(text, str):
+                Path(path).write_text(text)
+            else:
+                with open(path, "w") as fh:
+                    fh.writelines(text)
             written.append(path)
-    except OSError:
+    except BaseException:
         # a file the failed write created holds part of its text at most
         if not existed and os.path.lexists(path):
             written.append(path)
@@ -130,7 +139,14 @@ def _check_limit(q: int, n: int, what: str, limit: int, samples: int = 1, width:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValueError on a malformed command line, so main exits 1; -h exits 0."""
+    """Raises ValueError on a malformed command line, so main exits 1; -h exits 0.
+
+    A negative number with an exponent, such as --tol -1e-3, is a value, as
+    argparse reads it from Python 3.13, not an unknown option."""
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise ValueError(message)
 
@@ -248,10 +264,13 @@ def cmd_dpp(args) -> int:
         kernel = dpp_mod.build_kernel(args.f, args.q, args.n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
-    draws = dpp_mod.sample_chains(kernel, dpp_mod.sample_seeds(args.samples, args.seed))
-    report = dpp_mod.sssp_statistics(kernel, draws)
+    # the draws as the columns of one occupancy matrix, which the statistics
+    # read and the samples file is formatted from as it is written
+    seeds = dpp_mod.sample_seeds(args.samples, args.seed)
+    X = dpp_mod._chain_occupancy(kernel, seeds)
+    report = dpp_mod._statistics(kernel, X)
     _write("wrote {} and {}\n".format(*args.outputs), args.outputs,
-           [dpp_mod.samples_to_jsonl(draws), report.to_csv()])
+           [dpp_mod._jsonl_lines(X, seeds), report.to_csv()])
     return EXIT_OK
 
 

@@ -7,7 +7,10 @@ the kernel is an ordinary damped Toeplitz matrix, so the process is
 stationary along every ray with a common law, and incomparable vertices
 are independent (their kernel blocks are diagonal).  sssp_statistics
 estimates exactly these signatures from Monte Carlo samples and compares
-them with the closed-form values.
+them with the closed-form values.  It reads the draws as one boolean
+(N, samples) occupancy matrix X, X[v, t] = [v in draw t]; the sums down
+each ray come from the recursion R(v) = R(parent v) + pair[v] over the
+generations, O(n N) per sample and no per-ray copy of X.
 
 Two exact samplers draw from the same law; a run of either is fully
 determined by its seed.
@@ -30,7 +33,12 @@ the state a leading sample axis and runs the generation recursion once
 per chunk of about CHAIN_CHUNK_BYTES of state.  Each sample takes its N
 uniforms from one random(N) of its own default_rng(seed), the deepest
 generation first, so draw t depends on seeds[t] alone and not on the
-chunk it falls in; sample_chain is sample_chains on a single seed.
+chunk it falls in; sample_chain is sample_chains on a single seed.  Each
+chunk fills its columns of the occupancy matrix.  sample_chains reads
+each draw's points off its column; `btoep dpp` keeps the matrix, gives
+it to the statistics and formats the JSON lines of the samples file from
+it as the file is written, so no draw becomes a tuple and no file is
+held whole in memory.
 
 build_kernel needs no dense step either: the kernel is unitarily the
 direct sum of the Toeplitz blocks T_k of the spectral module, so its
@@ -44,9 +52,11 @@ process with kernel V V^* point by point.  After points s_1..s_j the
 conditioned kernel is V (I - E E^*) V^*, where E is an orthonormal basis
 of span{conj(V[s])} kept by Gram-Schmidt (Tremblay, Barthelme & Amblard
 2018), so the next point is drawn with probability proportional to
-|V[i]|^2 - |(V E)[i]|^2.  Each point adds one column to E and costs one
-O(N k) read-only product V @ e; V is never written.  A sample of k points
-on N vertices costs O(N k^2).  The dense eigenbasis V is the one dense
+|V[i]|^2 - |(V E)[i]|^2, by one lookup of a uniform in the cdf of those
+marginals: the steps of Generator.choice without its per-call checks,
+so the draws are those of choice.  Each point adds one column to E and
+costs one O(N k) read-only product V @ e; V is never written.  A sample
+of k points on N vertices costs O(N k^2).  The dense eigenbasis V is the one dense
 step left: the O(N^3) eigendecomposition of the materialized kernel,
 made on the first spectral draw, at most once per kernel and under the
 dense cap.  sssp_diagnostics draws with it.  The chain sampler is
@@ -57,7 +67,6 @@ the spectral sampler.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,6 +101,10 @@ CHAIN_CHUNK_BYTES = 2**20
 # family-wise false-alarm level of the ray-invariance row
 RAY_LEVEL = 1e-3
 MIN_SAMPLES = 1000
+# draws per contiguous copy of occupancy columns that _points reads
+POINTS_BLOCK = 64
+# rays per block of per-ray estimates that the diagnostics reduce at once
+RAY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -156,6 +169,22 @@ def build_kernel(f: Symbol, q: int, n: int) -> DppKernel:
     return DppKernel(np.clip(eigvals, 0.0, 1.0), shape, f)
 
 
+def _choose(rng: np.random.Generator, marginals: np.ndarray) -> int:
+    """Index i drawn with probability marginals[i] / marginals.sum().
+
+    These are the steps of rng.choice(N, p=marginals / marginals.sum()),
+    without its per-call checks: the same cdf and the same one uniform, so
+    the same index.  A total that is NaN, 0 or inf raises ValueError, as
+    choice does.
+    """
+    total = marginals.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"the marginals sum to {total}; no point can be drawn")
+    cdf = (marginals / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
     lam = kernel.eigenvalues
     V = kernel.eigenvectors[:, rng.random(lam.shape[0]) < lam]
@@ -166,8 +195,7 @@ def _sample_with_rng(kernel: DppKernel, rng: np.random.Generator) -> list:
     p = np.einsum("ij,ij->i", V, V.conj()).real
     points = []
     for j in range(k):
-        marginals = np.maximum(p, 0.0)
-        i = int(rng.choice(N, p=marginals / marginals.sum()))
+        i = _choose(rng, np.maximum(p, 0.0))
         points.append(i)
         # condition on i: the conditioned kernel is V (I - E E^*) V^*, so
         # each marginal loses |V[r] @ e|^2 for the new direction e; the
@@ -242,15 +270,13 @@ def _chain_bytes(kernel: DppKernel) -> int:
     return kernel.shape.vertex_count * (17 + 16 * r)
 
 
-def sample_chains(kernel: DppKernel, seeds) -> list:
-    """Chain-rule draws of the point process with kernel K, one per seed.
-
-    Draw t depends on seeds[t] alone.  The draws run side by side in
-    chunks of about CHAIN_CHUNK_BYTES of sampler state.
-    """
+def _chain_occupancy(kernel: DppKernel, seeds) -> np.ndarray:
+    """Boolean (N, len(seeds)) occupancy of the draws of sample_chains:
+    column t marks the points of the draw of seeds[t], and each chunk of
+    draws fills its own columns."""
     N = kernel.shape.vertex_count
     chunk = max(1, CHAIN_CHUNK_BYTES // _chain_bytes(kernel))
-    draws = []
+    X = np.empty((N, len(seeds)), dtype=bool)
     for i in range(0, len(seeds), chunk):
         part = seeds[i : i + chunk]
         # one random(N) per draw, generation n first, then n - 1, ...:
@@ -260,9 +286,26 @@ def sample_chains(kernel: DppKernel, seeds) -> list:
             np.random.default_rng(s).random(out=row)
         # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
         # rounding outside [0, 1] needs no clamp and no pivot is 0
-        occupied = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p)
-        draws += [DppSample(tuple(np.flatnonzero(row).tolist()), int(s)) for row, s in zip(occupied, part)]
-    return draws
+        X[:, i : i + len(part)] = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p).T
+    return X
+
+
+def _points(X: np.ndarray):
+    """The points of each draw, column by column of X, as sorted lists of
+    ints; the columns are read a block at a time, copied contiguous."""
+    for a in range(0, X.shape[1], POINTS_BLOCK):
+        for column in np.ascontiguousarray(X[:, a : a + POINTS_BLOCK].T):
+            yield np.flatnonzero(column).tolist()
+
+
+def sample_chains(kernel: DppKernel, seeds) -> list:
+    """Chain-rule draws of the point process with kernel K, one per seed.
+
+    Draw t depends on seeds[t] alone.  The draws run side by side in
+    chunks of about CHAIN_CHUNK_BYTES of sampler state.
+    """
+    X = _chain_occupancy(kernel, seeds)
+    return [DppSample(tuple(points), int(s)) for points, s in zip(_points(X), seeds)]
 
 
 def sample_chain(kernel: DppKernel, seed: int) -> DppSample:
@@ -274,11 +317,20 @@ def sample_chain(kernel: DppKernel, seed: int) -> DppSample:
     return sample_chains(kernel, [seed])[0]
 
 
+def _jsonl_line(seed: int, points: list) -> str:
+    """json.dumps({"seed": seed, "occupied": points}) + newline, for ints:
+    a list of ints prints as its JSON array."""
+    return f'{{"seed": {seed}, "occupied": {points}}}\n'
+
+
+def _jsonl_lines(X: np.ndarray, seeds):
+    """The JSON lines of the draws whose occupancy X holds, one at a time."""
+    return map(_jsonl_line, map(int, seeds), _points(X))
+
+
 def samples_to_jsonl(samples) -> str:
-    lines = [
-        json.dumps({"seed": s.rng_seed, "occupied": list(s.occupied)}) for s in samples
-    ]
-    return "\n".join(lines) + "\n"
+    # an empty list gives one empty line
+    return "".join(_jsonl_line(s.rng_seed, list(s.occupied)) for s in samples) or "\n"
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -364,49 +416,84 @@ def sssp_diagnostics(kernel: DppKernel, samples: int, seed: int) -> SsspReport:
 def sssp_statistics(kernel: DppKernel, draws) -> SsspReport:
     """Monte Carlo estimates of the stationarity/independence signatures
     from the given draws of the process with this kernel."""
-    samples = len(draws)
+    return _statistics(kernel, _occupancy(draws, kernel.dim))
+
+
+def _pairs(X: np.ndarray, shape: TreeShape, d: int):
+    """Per-sample counts of pair[v] = X[v] & X[anc_d(v)] over the vertices
+    v of generation >= d, anc_d(v) being v's ancestor d generations up
+    (d = 0 gives X[v]), and each ray's estimate from the n + 1 - d pairs
+    down it, as _mean_se lists with a row per leaf in level order.
+
+    R(v) = R(parent v) + pair[v], a generation at a time, leaves each ray's
+    sum at its leaf; a path (q = 1) is its one ray, so there the ray sum is
+    the count.  The estimates are reduced a block of rays at a time: each
+    row is reduced on its own, so they are those of all rays at once.
+    """
+    q, n, starts = shape.q, shape.depth, shape.generation_starts
+    N, samples = X.shape
+    if q == 1:
+        count = (X[d:] & X[: N - d]).sum(axis=0)
+        R = count[None]
+    else:
+        count, R = 0, None
+        for g in range(d, n + 1):
+            # generation g, grouped under its q^(g - d) ancestors d generations up
+            top = X[starts[g - d] : starts[g - d + 1], None]
+            pair = X[starts[g] : starts[g + 1]].reshape(len(top), -1, samples) & top
+            count = count + pair.sum(axis=(0, 1))
+            # a ray sum is at most n + 1 < 64 on any tree with q >= 2 that fits in memory
+            if R is None:
+                R = pair.reshape(-1, samples).astype(np.uint8)
+            else:
+                R = (R[:, None] + pair.reshape(len(R), q, samples)).reshape(-1, samples)
+    estimates, ses = [], []
+    for a in range(0, len(R), RAY_BLOCK):
+        m, se = _mean_se(R[a : a + RAY_BLOCK] / (n + 1 - d))
+        estimates += m
+        ses += se
+    return count, estimates, ses
+
+
+def _statistics(kernel: DppKernel, X: np.ndarray) -> SsspReport:
+    """sssp_statistics of the draws whose occupancy X holds: X[v, t] marks
+    vertex v in draw t."""
+    samples = X.shape[1]
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for stable diagnostics")
     shape = kernel.shape
     q, n, N = shape.q, shape.depth, kernel.dim
-    starts = np.asarray(shape.generation_starts)
-    X = _occupancy(draws, N)
+    starts = shape.generation_starts
     f0 = kernel.symbol.coeff(0).real
 
     one_point = {}
     for g in range(n + 1):
         one_point[g] = (f0, *_mean_se(X[starts[g] : starts[g + 1]].mean(axis=0)))
 
-    # comparable pairs at distance d: each vertex v of generation >= d with
-    # its ancestor anc[v] d generations up, in row v - starts[d] of pair;
-    # in level order the parent of v is (v - 1) // q.  Row l of rays runs
-    # from the root to leaf l, so the pairs along that ray, which the
-    # ray-invariance checks pool, are the rows rays[l, d:] - starts[d].
-    # Every other pair is incomparable.
-    anc = np.arange(N)
-    rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
-    max_z = _max_abs_z(*_mean_se(X[rays].sum(axis=1) / (n + 1)), f0)
-    ray_pair, spread = {}, {}
+    # comparable pairs at distance d: each vertex of generation >= d with
+    # its ancestor d generations up; the ray-invariance checks pool them
+    # along each ray (d = 0: the one-point rows).  Every other pair is
+    # incomparable.
+    ray_pair, spread, z = {}, {}, []
     comparable = np.zeros(samples, dtype=int)
     incomparable_pairs = N * (N - 1) // 2
-    for d in range(1, n + 1):
-        anc = (anc - 1) // q
-        pair = X[starts[d] :] & X[anc[starts[d] :]]
-        count = pair.sum(axis=0)
-        comparable += count
-        incomparable_pairs -= N - starts[d]
-        analytic = f0**2 - q ** (-d) * abs(kernel.symbol.coeff(d)) ** 2
-        ray_pair[d] = (analytic, *_mean_se(count / (N - starts[d])))
-        estimates, ses = _mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
-        spread[d] = (max(estimates) - min(estimates), 4 * max(ses))
-        max_z = max(max_z, _max_abs_z(estimates, ses, analytic))
+    for d in range(n + 1):
+        count, estimates, ses = _pairs(X, shape, d)
+        if d == 0:
+            size, analytic = count, f0
+        else:
+            comparable += count
+            incomparable_pairs -= N - starts[d]
+            analytic = f0**2 - q ** (-d) * abs(kernel.symbol.coeff(d)) ** 2
+            ray_pair[d] = (analytic, *_mean_se(count / (N - starts[d])))
+            spread[d] = (max(estimates) - min(estimates), 4 * max(ses))
+        z.append(_max_abs_z(estimates, ses, analytic))
     # Sidak: m two-sided tests, each at level 1 - (1 - RAY_LEVEL)^(1/m),
     # keep the family-wise level at most RAY_LEVEL for jointly normal z
     # whatever their correlation; there are q^n rays and n + 1 distances
     tail = -math.expm1(math.log1p(-RAY_LEVEL) / (q**n * (n + 1)))
-    ray_invariance = (max_z, -NormalDist().inv_cdf(tail / 2))
+    ray_invariance = (max(z), -NormalDist().inv_cdf(tail / 2))
 
-    size = X.sum(axis=0)
     if incomparable_pairs:
         per_sample = (size * (size - 1) // 2 - comparable) / incomparable_pairs
         incomparable = (f0**2, *_mean_se(per_sample))

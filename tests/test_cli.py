@@ -284,16 +284,15 @@ class TestDpp:
     def test_draws_each_sample_once(self, tmp_path, capsys, monkeypatch):
         # once per sample, in seed order, through the batched chain sampler,
         # never the spectral one
-        seeds, draws = [], []
-        sample_chains = dpp.sample_chains
+        seeds, sizes = [], []
+        occupancy, chains = dpp._chain_occupancy, dpp._chains
 
         def record(kernel, part):
             seeds.extend(part)
-            got = sample_chains(kernel, part)
-            draws.extend(got)
-            return got
+            return occupancy(kernel, part)
 
-        monkeypatch.setattr(dpp, "sample_chains", record)
+        monkeypatch.setattr(dpp, "_chain_occupancy", record)
+        monkeypatch.setattr(dpp, "_chains", lambda k, m, u: sizes.append(m) or chains(k, m, u))
         monkeypatch.setattr(dpp, "sample", lambda k, s: pytest.fail("btoep dpp called dpp.sample"))
         out = tmp_path / "run"
         code = main(
@@ -302,12 +301,27 @@ class TestDpp:
         )
         capsys.readouterr()
         assert code == EXIT_OK
-        assert seeds == [s.rng_seed for s in draws] == dpp.sample_seeds(1000, 11)
+        assert seeds == dpp.sample_seeds(1000, 11)
+        assert sum(sizes) == 1000
         monkeypatch.undo()
         kernel = dpp.build_kernel(Symbol.from_json(RAISED_COS), 2, 2)
-        expected = dpp.sssp_statistics(kernel, draws).to_csv()
-        assert (tmp_path / "run.diagnostics.csv").read_text() == expected
+        draws = dpp.sample_chains(kernel, seeds)
+        assert (tmp_path / "run.diagnostics.csv").read_text() == dpp.sssp_statistics(kernel, draws).to_csv()
         assert (tmp_path / "run.samples.jsonl").read_text() == dpp.samples_to_jsonl(draws)
+
+    @pytest.mark.parametrize("q, n, f", [(2, 5, RAISED_COS), (1, 300, RAISED_COS), (3, 3, TWO_RADIUS), (2, 11, RAISED_COS)])
+    def test_streamed_run_writes_the_library_files(self, q, n, f, tmp_path, capsys):
+        # the run streams its draws from one occupancy matrix; the library
+        # formats and reads the DppSample tuples: the same bytes.  (2, 11)
+        # draws in many chunks
+        kernel = dpp.build_kernel(Symbol.from_json(f), q, n)
+        code = main(["dpp", "--symbol", f, "--q", str(q), "--n", str(n),
+                     "--samples", "1000", "--seed", "6", "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        draws = dpp.sample_chains(kernel, dpp.sample_seeds(1000, 6))
+        assert (tmp_path / "run.samples.jsonl").read_bytes() == dpp.samples_to_jsonl(draws).encode()
+        assert (tmp_path / "run.diagnostics.csv").read_bytes() == dpp.sssp_statistics(kernel, draws).to_csv().encode()
 
     @pytest.mark.parametrize("q, n, f", [(2, 6, RAISED_COS), (3, 4, TWO_RADIUS)])
     def test_no_dense_step(self, q, n, f, tmp_path, capsys, monkeypatch):
@@ -659,6 +673,16 @@ class TestInputGate:
         err = self._refused(argv, tmp_path, capsys, monkeypatch)
         assert err == f"error: argument {flag}: {message}\n"
 
+    @pytest.mark.parametrize("argv, flag, message", [
+        (NORM + ["--tol", "-1e-3"], "--tol", "must be finite and > 0, got -0.001"),
+        (NORM + ["--tol", "-2.5E+2"], "--tol", "must be finite and > 0, got -250.0"),
+        (NORM[:6] + ["-1e3"], "--n", "invalid int value: '-1e3'"),
+    ])
+    def test_negative_number_with_an_exponent_is_a_value(self, argv, flag, message, tmp_path, capsys, monkeypatch):
+        # not "expected one argument": argparse before 3.13 reads -1e-3 as an option
+        err = self._refused(argv, tmp_path, capsys, monkeypatch)
+        assert err == f"error: argument {flag}: {message}\n"
+
     @pytest.mark.parametrize("argv, dest, value", [
         (NORM[:4] + ["1", "--n", "0"], "q", 1),
         (NORM[:6] + ["0"], "n", 0),
@@ -810,6 +834,26 @@ class TestFailedWrite:
         monkeypatch.setattr(Path, "write_text", fill_then_fail)
         code = main(argv + ["--out", str(tmp_path / "run")])
         self._expect_exit_1_and_no_output(tmp_path, capsys, code)
+
+    def test_streamed_write_that_fails_after_its_first_chunk(self, tmp_path, capsys, monkeypatch):
+        # a disk that fills while the samples file streams: neither file stays
+        written = []
+
+        def open_filling(path, mode="r"):
+            fh = open(path, mode)
+            if path.endswith(".samples.jsonl"):
+                def write(chunk):
+                    if written:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+                    written.append(chunk)
+                    return type(fh).write(fh, chunk)
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_filling, raising=False)
+        code = main(self.DPP + ["--out", str(tmp_path / "run")])
+        self._expect_exit_1_and_no_output(tmp_path, capsys, code)
+        assert len(written) == 1 and written[0].startswith('{"seed": ')
 
     def test_symlinks_are_written_through(self, tmp_path, capsys):
         # a rename into place would replace the links instead

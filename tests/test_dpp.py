@@ -114,6 +114,14 @@ class TestSample:
             assert samples_to_jsonl(numpy_draws) == samples_to_jsonl(int_draws)
 
 
+@pytest.fixture
+def choice_step(monkeypatch):
+    """Each point is drawn by rng.choice, so a stand-in generator that
+    scripts choice plays its order; TestCdfLookup shows that the sampler's
+    own step draws what rng.choice draws."""
+    monkeypatch.setattr(dpp, "_choose", lambda rng, marginals: rng.choice(marginals.size, p=marginals / marginals.sum()))
+
+
 class _ScriptedRng:
     """Stands in for the generator: selects every eigenvector with
     eigenvalue above 0, draws the points in a given order and multiplies up
@@ -132,6 +140,7 @@ class _ScriptedRng:
         return i
 
 
+@pytest.mark.usefixtures("choice_step")
 class TestExactLaw:
     """Summed over the orders of its points, the probability of a set S
     under the sampler is the projection DPP law |det V_S|^2, where V holds
@@ -207,6 +216,7 @@ def large_kernel():
     return build_kernel(RAISED_COS, 3, 6)
 
 
+@pytest.mark.usefixtures("choice_step")
 class TestSamplerSteps:
     """Every probability vector the sampler draws from is the dense
     conditional diagonal, not only the law of its output."""
@@ -236,6 +246,51 @@ class TestSamplerSteps:
         V = large_kernel.eigenvectors[:, np.random.default_rng(5).random(lam.size) < lam]
         assert points == sorted(rng.drawn)
         _assert_steps(V, rng, 1e-10)
+
+
+def _choice_draw(kernel, seed):
+    """The spectral sampler as it drew with rng.choice: the reference for
+    its CDF lookup."""
+    rng = np.random.default_rng(seed)
+    lam = kernel.eigenvalues
+    V = kernel.eigenvectors[:, rng.random(lam.shape[0]) < lam]
+    N, k = V.shape
+    E = np.zeros((k, k), dtype=V.dtype)
+    C = np.zeros((N, k), dtype=V.dtype)
+    p = np.einsum("ij,ij->i", V, V.conj()).real
+    points = []
+    for j in range(k):
+        marginals = np.maximum(p, 0.0)
+        i = int(rng.choice(N, p=marginals / marginals.sum()))
+        points.append(i)
+        e = V[i].conj() - E[:, :j] @ C[i, :j].conj()
+        e /= np.sqrt(np.vdot(e, e).real)
+        E[:, j] = e
+        C[:, j] = c = V @ e
+        p -= (c * c.conj()).real
+        p[i] = 0.0
+    return tuple(sorted(points))
+
+
+class TestCdfLookup:
+    """The spectral sampler draws each point by one lookup in the cdf that
+    rng.choice builds, with the uniform choice would take: the same draws."""
+
+    @pytest.mark.parametrize("f, q, n", [(RAISED_COS, 2, 4), (COMPLEX_HERM, 3, 3), (RAISED_COS, 2, 8)])
+    def test_draws_as_choice_did(self, f, q, n):
+        kernel = build_kernel(f, q, n)
+        seeds = dpp.sample_seeds(200, 10 * q + n)
+        assert [sample(kernel, s).occupied for s in seeds] == [_choice_draw(kernel, s) for s in seeds]
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0])
+    def test_marginals_without_a_total_raise(self, fill):
+        # every eigenvector selected, and each of them all NaN or all 0
+        kernel = dataclasses.replace(build_kernel(RAISED_COS, 2, 2), eigenvalues=np.ones(7))
+        vars(kernel)["eigenvectors"] = np.full((7, 7), fill)
+        with pytest.raises(ValueError, match="marginals sum to"):
+            sample(kernel, 0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            _choice_draw(kernel, 0)
 
 
 def test_large_draw_is_stable(large_kernel):
@@ -722,6 +777,24 @@ def test_diagnostics_csv_unchanged(f, q, n, seed, expected):
             assert abs(float(analytic) - float(pinned_analytic)) <= 1e-12
             row, pinned = (name, rest), (pinned_name, pinned_rest)
         assert row == pinned
+
+
+@pytest.mark.parametrize("q, n", [(1, 0), (1, 6), (2, 0), (2, 1), (2, 5), (3, 3), (4, 2), (2, 9)])
+def test_pair_sums_match_the_gathers(q, n):
+    """Counts and per-ray estimates of the generation recursion equal
+    those of a gather of each vertex's ancestor and of each ray's rows;
+    (2, 9) has 512 rays, two blocks of RAY_BLOCK."""
+    shape = TreeShape(q, n)
+    N, starts = shape.vertex_count, np.asarray(shape.generation_starts)
+    X = np.random.default_rng(10 * q + n).random((N, 1000)) < 0.4
+    rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
+    anc = np.arange(N)
+    for d in range(n + 1):
+        pair = X[starts[d] :] & X[anc[starts[d] :]]
+        count, estimates, ses = dpp._pairs(X, shape, d)
+        assert np.array_equal(count, pair.sum(axis=0))
+        assert (estimates, ses) == dpp._mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
+        anc = (anc - 1) // q
 
 
 class TestRayInvariance:
