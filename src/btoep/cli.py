@@ -4,9 +4,10 @@ Subcommands:
   norm    power-iteration operator norm of the uniform-weight operator
   verify  run the structural identity suites, JSON line per suite
   dpp     sample the induced determinantal point process + diagnostics;
-          the draws come from the batched chain-rule sampler
-          dpp.sample_chains, the seed of each from dpp.sample_seeds, and
-          the diagnostics from dpp.sssp_statistics of those draws; the
+          the seeds come from dpp.sample_seeds, the draws, those of
+          dpp.sample_chains, as the occupancy matrix of
+          dpp._chain_occupancy, the diagnostics from dpp._statistics of
+          that matrix and the samples file from dpp._jsonl_lines; the
           kernel's spectrum comes from its Toeplitz blocks, so no dense
           matrix is built
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep; the

@@ -234,7 +234,7 @@ def _chains(kernel: DppKernel, samples: int, decide) -> np.ndarray:
     """
     shape, f = kernel.shape, kernel.symbol
     q, n, N, starts = shape.q, shape.depth, shape.vertex_count, shape.generation_starts
-    r = min(n, f.support_radius)
+    r, sizes = min(n, f.support_radius), shape.generation_sizes
     # band[d - 1] = K[v, anc_d(v)] of the unconditioned kernel
     band = np.array([f.coeff(d) * q ** (-d / 2) for d in range(1, r + 1)])
     if not band.imag.any():  # same draws as complex, 0.18 s not 0.24 s for 1000 at (2, 11)
@@ -256,7 +256,7 @@ def _chains(kernel: DppKernel, samples: int, decide) -> np.ndarray:
         for d in range(1, rg + 1):
             # K[anc_d, anc_e] -= conj(L[v, d]) L[v, e] / (p - [v not taken])
             # for e = d..rg, summed over the q^d vertices below anc_d
-            a, m = starts[g - d], (hi - lo) // q**d
+            a, m = starts[g - d], sizes[g - d]
             upd = (scaled[..., d - 1, None] * Lg[..., d - 1 :]).reshape(samples, m, -1, rg - d + 1).sum(axis=2)
             diag[:, a : a + m] -= upd[..., 0].real
             L[:, a : a + m, : rg - d] -= upd[..., 1:]
@@ -272,21 +272,26 @@ def _chain_bytes(kernel: DppKernel) -> int:
 
 def _chain_occupancy(kernel: DppKernel, seeds) -> np.ndarray:
     """Boolean (N, len(seeds)) occupancy of the draws of sample_chains:
-    column t marks the points of the draw of seeds[t], and each chunk of
-    draws fills its own columns."""
+    column t marks the points of the draw of seeds[t].  The draws of at
+    least POINTS_BLOCK seeds are staged as rows and copied into X at once,
+    not each as N one-byte writes len(seeds) bytes apart."""
     N = kernel.shape.vertex_count
     chunk = max(1, CHAIN_CHUNK_BYTES // _chain_bytes(kernel))
+    block = chunk * math.ceil(POINTS_BLOCK / chunk)
     X = np.empty((N, len(seeds)), dtype=bool)
-    for i in range(0, len(seeds), chunk):
-        part = seeds[i : i + chunk]
-        # one random(N) per draw, generation n first, then n - 1, ...:
-        # vertices lo..hi-1 take U[:, N - hi : N - lo]
-        U = np.empty((len(part), N))
-        for row, s in zip(U, part):
-            np.random.default_rng(s).random(out=row)
-        # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
-        # rounding outside [0, 1] needs no clamp and no pivot is 0
-        X[:, i : i + len(part)] = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p).T
+    for a in range(0, len(seeds), block):
+        staged = np.empty((min(block, len(seeds) - a), N), dtype=bool)
+        for i in range(0, len(staged), chunk):
+            part = seeds[a + i : a + i + chunk]
+            # one random(N) per draw, generation n first, then n - 1, ...:
+            # vertices lo..hi-1 take U[:, N - hi : N - lo]
+            U = np.empty((len(part), N))
+            for row, s in zip(U, part):
+                np.random.default_rng(s).random(out=row)
+            # u in [0, 1) takes v whenever p >= 1 and never when p <= 0, so
+            # rounding outside [0, 1] needs no clamp and no pivot is 0
+            staged[i : i + len(part)] = _chains(kernel, len(part), lambda lo, hi, p: U[:, N - hi : N - lo] < p)
+        X[:, a : a + len(staged)] = staged.T
     return X
 
 
@@ -436,17 +441,14 @@ def _pairs(X: np.ndarray, shape: TreeShape, d: int):
         count = (X[d:] & X[: N - d]).sum(axis=0)
         R = count[None]
     else:
-        count, R = 0, None
+        count, R = 0, np.zeros((1, samples), dtype=np.uint8)
         for g in range(d, n + 1):
             # generation g, grouped under its q^(g - d) ancestors d generations up
             top = X[starts[g - d] : starts[g - d + 1], None]
             pair = X[starts[g] : starts[g + 1]].reshape(len(top), -1, samples) & top
             count = count + pair.sum(axis=(0, 1))
             # a ray sum is at most n + 1 < 64 on any tree with q >= 2 that fits in memory
-            if R is None:
-                R = pair.reshape(-1, samples).astype(np.uint8)
-            else:
-                R = (R[:, None] + pair.reshape(len(R), q, samples)).reshape(-1, samples)
+            R = (R[:, None] + pair.reshape(len(R), -1, samples)).reshape(-1, samples)
     estimates, ses = [], []
     for a in range(0, len(R), RAY_BLOCK):
         m, se = _mean_se(R[a : a + RAY_BLOCK] / (n + 1 - d))
@@ -466,9 +468,7 @@ def _statistics(kernel: DppKernel, X: np.ndarray) -> SsspReport:
     starts = shape.generation_starts
     f0 = kernel.symbol.coeff(0).real
 
-    one_point = {}
-    for g in range(n + 1):
-        one_point[g] = (f0, *_mean_se(X[starts[g] : starts[g + 1]].mean(axis=0)))
+    one_point = {g: (f0, *_mean_se(X[starts[g] : starts[g + 1]].mean(axis=0))) for g in range(n + 1)}
 
     # comparable pairs at distance d: each vertex of generation >= d with
     # its ancestor d generations up; the ray-invariance checks pool them
@@ -491,7 +491,7 @@ def _statistics(kernel: DppKernel, X: np.ndarray) -> SsspReport:
     # Sidak: m two-sided tests, each at level 1 - (1 - RAY_LEVEL)^(1/m),
     # keep the family-wise level at most RAY_LEVEL for jointly normal z
     # whatever their correlation; there are q^n rays and n + 1 distances
-    tail = -math.expm1(math.log1p(-RAY_LEVEL) / (q**n * (n + 1)))
+    tail = -math.expm1(math.log1p(-RAY_LEVEL) / (shape.generation_sizes[n] * (n + 1)))
     ray_invariance = (max(z), -NormalDist().inv_cdf(tail / 2))
 
     if incomparable_pairs:

@@ -68,12 +68,6 @@ def dense_cap() -> int:
     raise ValueError(f"BTOEP_DENSE_CAP must be an integer >= 0, got {raw!r}")
 
 
-def _check_cap(rows: int) -> None:
-    cap = dense_cap()
-    if rows > cap:
-        raise DenseCapError(f"dense materialization of {rows} rows exceeds cap {cap}")
-
-
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """A point of the unit sphere in C^q, held as a read-only complex array."""
@@ -183,21 +177,22 @@ class _Kernel:
 
     def materialize(self) -> np.ndarray:
         """Dense (|B_n| d) x (|B_n| d) matrix of d x d blocks."""
-        shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
+        shape, n, d = self.shape, self.shape.depth, self.weights.shape[1]
         N = shape.vertex_count
-        _check_cap(N * d)
-        starts = shape.generation_starts
+        if N * d > (cap := dense_cap()):
+            raise DenseCapError(f"dense materialization of {N * d} rows exceeds cap {cap}")
+        starts, sizes = shape.generation_starts, shape.generation_sizes
         coeff = self.symbol.coeff
         radius = min(n, self.symbol.support_radius)
         M = np.zeros((N * d, N * d), dtype=complex)
         np.fill_diagonal(M, coeff(0))
         blocks = M.reshape(N, d, N, d)
         for g in range(1, n + 1):
-            k = np.arange(q**g)
+            k = np.arange(sizes[g])
             rows = starts[g] + k
             for m in range(1, min(g, radius) + 1):
                 P = self._path(k, m)
-                cols = starts[g - m] + k // q**m
+                cols = starts[g - m] + k // sizes[m]
                 cd, cu = coeff(m), coeff(-m)
                 if cd != 0:
                     blocks[rows, :, cols, :] = cd * P

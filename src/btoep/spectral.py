@@ -149,9 +149,10 @@ def _block_spectrum(f: Symbol, shape, solve) -> np.ndarray:
     """solve(T_k) of each Toeplitz block T_k of the decomposition, ascending,
     each value repeated by its block's multiplicity; each T_k is the leading
     section of T_n.  Only the (n+1)(n+2)/2 block values are sorted, stably."""
-    q, n = shape.q, shape.depth
+    n, sizes = shape.depth, shape.generation_sizes
     T = toeplitz_dense(f, n)
-    blocks = [(n, 1)] + [(n - j, (q - 1) * q ** (j - 1)) for j in range(1, n + 1) if q > 1]
+    # T_{n-j} occurs sizes[j] - sizes[j-1] times, sizes[-1] read as 0: never past j = 0 on a path
+    blocks = [(n - j, b - a) for j, (a, b) in enumerate(zip((0, *sizes), sizes)) if b > a]
     values = np.concatenate([solve(T[: k + 1, : k + 1]) for k, _ in blocks])
     mults = np.repeat([mult for _, mult in blocks], [k + 1 for k, _ in blocks])
     order = np.argsort(values, kind="stable")
@@ -181,7 +182,7 @@ def radial_compress(op: BranchingOperator) -> np.ndarray:
         E = radial_basis(op.shape)
     else:
         # one Kronecker chain, as in block_norms; a transposed (n+1, N) build changes bits
-        n, sizes = op.shape.depth, np.diff(op.shape.generation_starts)
+        n, sizes = op.shape.depth, op.shape.generation_sizes
         E = np.repeat(np.eye(n + 1), sizes, axis=0) * _radial_lift(op, np.ones(n + 1))[:, None]
     return E.conj().T @ op.apply(E.T).T
 
@@ -226,7 +227,7 @@ def block_norms(op: BranchingOperator) -> BlockNorms:
     # E c is np.repeat(c, sizes) times E 1, whose generation k is the k-fold
     # Kronecker power; E 1 is a (1, N) row, so a one-column chunk's repeated
     # image has its shape and numpy multiplies into it in place
-    flat, sizes = _radial_lift(op, np.ones(n + 1))[None, :], np.diff(op.shape.generation_starts)
+    flat, sizes = _radial_lift(op, np.ones(n + 1))[None, :], op.shape.generation_sizes
     adjoint = op.adjoint()
     step = max(1, CHECK_CHUNK_BYTES // (16 * op.dim))
     cross = 0.0
@@ -306,10 +307,7 @@ def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
     sup = 0.0
     for q in range(2, q_max + 1):
         op = BranchingOperator.uniform(q, n, f)
-        if op.dim <= SANDWICH_DENSE_ROWS:
-            est = operator_norm_dense(op)
-        else:
-            est = operator_norm(op).norm_estimate
+        est = operator_norm_dense(op) if op.dim <= SANDWICH_DENSE_ROWS else operator_norm(op).norm_estimate
         sup = np.maximum(sup, est)
     return float(sup)
 

@@ -5,10 +5,10 @@ vertices of generations 0..n.  A vertex is addressed by (generation, offset)
 with offset counting left to right within its generation; the children of
 (g, k) are (g+1, q*k + j) for j = 0..q-1, so ancestry is integer division.
 
-Vertices are laid out generation-major ("level order"): generation g starts
-at linear index (q^g - 1)/(q - 1).  With this layout the children of
-consecutive vertices occupy consecutive index ranges, which is what the
-matrix-free operator kernels exploit.
+Vertices are laid out generation-major ("level order"); TreeShape owns the
+layout: generation g holds generation_sizes[g] = q^g vertices from index
+generation_starts[g], their prefix sum.  Children of consecutive vertices
+occupy consecutive index ranges, which the matrix-free kernels exploit.
 
 q = 1 is supported and degenerates to the half-line 0-1-2-...-n.
 """
@@ -16,6 +16,7 @@ q = 1 is supported and degenerates to the half-line 0-1-2-...-n.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -49,14 +50,19 @@ class TreeShape:
         return self.generation_start(self.depth + 1)
 
     def generation_start(self, g: int) -> int:
-        """Linear index of the first vertex of generation g."""
-        if self.q == 1:
-            return g
-        return (self.q**g - 1) // (self.q - 1)
+        """Linear index of the first vertex of generation g, in closed form, so
+        vertex_count sizes a deep tree without listing its generations."""
+        return g if self.q == 1 else (self.q**g - 1) // (self.q - 1)
+
+    @cached_property
+    def generation_sizes(self) -> tuple:
+        """q^g, the vertex count of generation g, for g = 0..n."""
+        return tuple(self.q**g for g in range(self.depth + 1))
 
     @cached_property
     def generation_starts(self) -> tuple:
-        return tuple(self.generation_start(g) for g in range(self.depth + 2))
+        """Prefix sums of generation_sizes: n + 2 entries, 0 first, N last."""
+        return tuple(itertools.accumulate(self.generation_sizes, initial=0))
 
 
 @dataclass(frozen=True, order=True)
@@ -72,7 +78,7 @@ class Vertex:
 def _check(v: Vertex, shape: TreeShape) -> None:
     if v.generation > shape.depth:
         raise ValueError(f"generation {v.generation} exceeds depth {shape.depth}")
-    if v.offset >= shape.q**v.generation:
+    if v.offset >= shape.generation_sizes[v.generation]:
         raise ValueError(
             f"offset {v.offset} out of range for generation {v.generation} (q={shape.q})"
         )
@@ -117,6 +123,6 @@ def comparability(u: Vertex, v: Vertex, shape: TreeShape) -> Comparability:
     u_up = u.generation <= v.generation
     up, down = (u, v) if u_up else (v, u)
     m = down.generation - up.generation
-    if down.offset // shape.q**m == up.offset:
+    if down.offset // shape.generation_sizes[m] == up.offset:
         return Comparability(Relation.U_ANCESTOR_OF_V if u_up else Relation.V_ANCESTOR_OF_U, m)
     return Comparability(Relation.INCOMPARABLE)

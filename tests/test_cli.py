@@ -912,6 +912,10 @@ class TestOversizedInput:
         ["dpp", "--q", "3", "--n", "100000000", "--samples", "1000"],
         ["dpp", "--q", "2", "--n", "100000", "--samples", "1000"],
         ["table", "--q-max", "100000000000", "--n-max", "3"],
+        # a path of 10^8 generations: refused from the closed-form vertex
+        # count, never by listing its generations
+        ["norm", "--q", "1", "--n", "100000000"],
+        ["dpp", "--q", "1", "--n", "100000000", "--samples", "1000"],
     ])
     def test_exit_5_without_traceback_or_file(self, argv, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])

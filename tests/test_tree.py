@@ -47,6 +47,24 @@ class TestShape:
         with pytest.raises(ValueError):
             TreeShape(2, -1)
 
+    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_generation_sizes_are_the_layout(self, q, n):
+        shape = TreeShape(q, n)
+        sizes, starts = shape.generation_sizes, shape.generation_starts
+        assert sizes == tuple(q**g for g in range(n + 1))
+        # starts is the prefix sum of sizes, 0 first and |B_n| last, and
+        # agrees with the closed form that vertex_count reads
+        assert len(starts) == n + 2
+        for g in range(n + 2):
+            assert starts[g] == sum(sizes[:g]) == shape.generation_start(g)
+        assert starts[-1] == shape.vertex_count
+        # q^d vertices of generation g lie below each vertex d generations up
+        for g in range(n + 1):
+            for d in range(g + 1):
+                assert sizes[g] % sizes[g - d] == 0
+                assert sizes[g] // sizes[g - d] == q**d
+
 
 class TestLinearIndex:
     def test_root_is_zero(self):
