@@ -3,13 +3,9 @@
 Subcommands:
   norm    power-iteration operator norm of the uniform-weight operator
   verify  run the structural identity suites, JSON line per suite
-  dpp     sample the induced determinantal point process + diagnostics;
-          the seeds come from dpp.sample_seeds, the draws, those of
-          dpp.sample_chains, as the occupancy matrix of
-          dpp._chain_occupancy, the diagnostics from dpp._statistics of
-          that matrix and the samples file from dpp._jsonl_lines; the
-          kernel's spectrum comes from its Toeplitz blocks, so no dense
-          matrix is built
+  dpp     sample the induced determinantal point process + diagnostics:
+          one dpp.chain_run call; the kernel's spectrum comes from its
+          Toeplitz blocks, so no dense matrix is built
   table   CSV of branching vs Toeplitz norms over a (q, n) sweep; the
           branching norm is the largest block norm ||T_k|| over k <= n
           (k = n alone for q = 1); one T_{n_max} is built per invocation
@@ -77,7 +73,8 @@ EXACT_NORM_MAX_ORDER = 1024
 # holds every draw until both files are written, as an occupancy byte per
 # vertex and sample (64 MiB at the limit), which the diagnostics read and
 # the samples file is formatted from line by line; the diagnostics add
-# about two more bytes per vertex and sample of the deepest generations
+# about two more bytes per vertex and sample of the deepest generations,
+# and their per-ray estimates come in blocks sized in bytes, not in rays
 MAX_DPP_VERTEX_SAMPLES = 2**26
 # dpp writes --out with each of these appended
 DPP_SUFFIXES = (".samples.jsonl", ".diagnostics.csv")
@@ -100,19 +97,16 @@ def _load_symbol(args) -> Symbol:
 
 
 def _write(stdout: str, paths: list[str], texts: list) -> None:
-    """Write texts[i], a string or an iterable of strings written one by
-    one, to paths[i] through (an existing symlink or /dev/stdout is written
-    to, not replaced), then print stdout.  A failed write removes the files
+    """Write texts[i], an iterable of strings written one by one, to
+    paths[i] through (an existing symlink or /dev/stdout is written to, not
+    replaced), then print stdout.  A failed write removes the files
     already written and any file it created, then re-raises."""
     written = []
     try:
         for path, text in zip(paths, texts):
             existed = os.path.lexists(path)
-            if isinstance(text, str):
-                Path(path).write_text(text)
-            else:
-                with open(path, "w") as fh:
-                    fh.writelines(text)
+            with open(path, "w") as fh:
+                fh.writelines(text)
             written.append(path)
     except BaseException:
         # a file the failed write created holds part of its text at most
@@ -234,7 +228,7 @@ def cmd_norm(args) -> int:
     else:
         text = json.dumps({"norm": report.norm_estimate, "method": NORM_METHOD,
                            "iterations": report.iterations, "residual": report.residual}) + "\n"
-    _write(text, args.outputs, [text])
+    _write(text, args.outputs, [[text]])
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
@@ -251,7 +245,7 @@ def cmd_verify(args) -> int:
     except np.linalg.LinAlgError as exc:
         return _fail(str(exc), EXIT_VERIFY_FAILED)
     text = "".join(json.dumps(dataclasses.asdict(r)) + "\n" for r in results)
-    _write(text, args.outputs, [text])
+    _write(text, args.outputs, [[text]])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -265,13 +259,8 @@ def cmd_dpp(args) -> int:
         kernel = dpp_mod.build_kernel(args.f, args.q, args.n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_KERNEL_REJECTED)
-    # the draws as the columns of one occupancy matrix, which the statistics
-    # read and the samples file is formatted from as it is written
-    seeds = dpp_mod.sample_seeds(args.samples, args.seed)
-    X = dpp_mod._chain_occupancy(kernel, seeds)
-    report = dpp_mod._statistics(kernel, X)
-    _write("wrote {} and {}\n".format(*args.outputs), args.outputs,
-           [dpp_mod._jsonl_lines(X, seeds), report.to_csv()])
+    lines, report = dpp_mod.chain_run(kernel, args.samples, args.seed)
+    _write("wrote {} and {}\n".format(*args.outputs), args.outputs, [lines, [report.to_csv()]])
     return EXIT_OK
 
 
@@ -298,7 +287,7 @@ def cmd_table(args) -> int:
         rows = [",".join(columns)]
         rows += [f"{q},{n},{bn!r},{tn!r},{gap!r}" for q, n, bn, tn, gap in cells]
         text = "\n".join(rows) + "\n"
-    _write(text, args.outputs, [text])
+    _write(text, args.outputs, [[text]])
     return EXIT_OK
 
 

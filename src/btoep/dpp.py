@@ -10,7 +10,8 @@ estimates exactly these signatures from Monte Carlo samples and compares
 them with the closed-form values.  It reads the draws as one boolean
 (N, samples) occupancy matrix X, X[v, t] = [v in draw t]; the sums down
 each ray come from the recursion R(v) = R(parent v) + pair[v] over the
-generations, O(n N) per sample and no per-ray copy of X.
+generations, O(n N) per sample and no per-ray copy of X; the per-ray
+estimates are reduced in blocks of rays sized in bytes (CHUNK_BYTES).
 
 Two exact samplers draw from the same law; a run of either is fully
 determined by its seed.
@@ -30,15 +31,15 @@ contiguous groups of q^d vertices.  The state is the diagonal and the
 band K[v, anc_d(v)], d = 1..r, built from the symbol alone: O(N r^2) per
 sample with no dense matrix and no eigenvectors.  sample_chains gives
 the state a leading sample axis and runs the generation recursion once
-per chunk of about CHAIN_CHUNK_BYTES of state.  Each sample takes its N
+per chunk of about CHUNK_BYTES of state.  Each sample takes its N
 uniforms from one random(N) of its own default_rng(seed), the deepest
 generation first, so draw t depends on seeds[t] alone and not on the
 chunk it falls in; sample_chain is sample_chains on a single seed.  Each
 chunk fills its columns of the occupancy matrix.  sample_chains reads
-each draw's points off its column; `btoep dpp` keeps the matrix, gives
-it to the statistics and formats the JSON lines of the samples file from
-it as the file is written, so no draw becomes a tuple and no file is
-held whole in memory.
+each draw's points off its column.  chain_run, the whole run of `btoep
+dpp`, keeps the matrix, gives it to the statistics and formats the JSON
+lines of the samples file from it one at a time as they are read, so no
+draw becomes a tuple and no file is held whole in memory.
 
 build_kernel needs no dense step either: the kernel is unitarily the
 direct sum of the Toeplitz blocks T_k of the spectral module, so its
@@ -84,6 +85,7 @@ __all__ = [
     "DppSample",
     "SsspReport",
     "build_kernel",
+    "chain_run",
     "sample",
     "sample_chain",
     "sample_chains",
@@ -95,16 +97,15 @@ __all__ = [
 ]
 
 EIG_CLAMP = 1e-8
-# bytes of sampler state per chunk of sample_chains draws: half a 2 MiB L2
-# cache, which the temporaries of one generation's update fill up
-CHAIN_CHUNK_BYTES = 2**20
+# bytes of working arrays per chunk: the sampler state of a chunk of
+# sample_chains draws, the float rows of a block of per-ray estimates; half
+# a 2 MiB L2 cache, which the temporaries of one step fill up
+CHUNK_BYTES = 2**20
 # family-wise false-alarm level of the ray-invariance row
 RAY_LEVEL = 1e-3
 MIN_SAMPLES = 1000
 # draws per contiguous copy of occupancy columns that _points reads
 POINTS_BLOCK = 64
-# rays per block of per-ray estimates that the diagnostics reduce at once
-RAY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def _chain_occupancy(kernel: DppKernel, seeds) -> np.ndarray:
     least POINTS_BLOCK seeds are staged as rows and copied into X at once,
     not each as N one-byte writes len(seeds) bytes apart."""
     N = kernel.shape.vertex_count
-    chunk = max(1, CHAIN_CHUNK_BYTES // _chain_bytes(kernel))
+    chunk = max(1, CHUNK_BYTES // _chain_bytes(kernel))
     block = chunk * math.ceil(POINTS_BLOCK / chunk)
     X = np.empty((N, len(seeds)), dtype=bool)
     for a in range(0, len(seeds), block):
@@ -307,7 +308,7 @@ def sample_chains(kernel: DppKernel, seeds) -> list:
     """Chain-rule draws of the point process with kernel K, one per seed.
 
     Draw t depends on seeds[t] alone.  The draws run side by side in
-    chunks of about CHAIN_CHUNK_BYTES of sampler state.
+    chunks of about CHUNK_BYTES of sampler state.
     """
     X = _chain_occupancy(kernel, seeds)
     return [DppSample(tuple(points), int(s)) for points, s in zip(_points(X), seeds)]
@@ -326,11 +327,6 @@ def _jsonl_line(seed: int, points: list) -> str:
     """json.dumps({"seed": seed, "occupied": points}) + newline, for ints:
     a list of ints prints as its JSON array."""
     return f'{{"seed": {seed}, "occupied": {points}}}\n'
-
-
-def _jsonl_lines(X: np.ndarray, seeds):
-    """The JSON lines of the draws whose occupancy X holds, one at a time."""
-    return map(_jsonl_line, map(int, seeds), _points(X))
 
 
 def samples_to_jsonl(samples) -> str:
@@ -432,8 +428,9 @@ def _pairs(X: np.ndarray, shape: TreeShape, d: int):
 
     R(v) = R(parent v) + pair[v], a generation at a time, leaves each ray's
     sum at its leaf; a path (q = 1) is its one ray, so there the ray sum is
-    the count.  The estimates are reduced a block of rays at a time: each
-    row is reduced on its own, so they are those of all rays at once.
+    the count.  The estimates are reduced a block of about CHUNK_BYTES of
+    float rows at a time: each row is reduced on its own, so they are those
+    of all rays at once.
     """
     q, n, starts = shape.q, shape.depth, shape.generation_starts
     N, samples = X.shape
@@ -450,11 +447,22 @@ def _pairs(X: np.ndarray, shape: TreeShape, d: int):
             # a ray sum is at most n + 1 < 64 on any tree with q >= 2 that fits in memory
             R = (R[:, None] + pair.reshape(len(R), -1, samples)).reshape(-1, samples)
     estimates, ses = [], []
-    for a in range(0, len(R), RAY_BLOCK):
-        m, se = _mean_se(R[a : a + RAY_BLOCK] / (n + 1 - d))
+    block = max(1, CHUNK_BYTES // (8 * samples))
+    for a in range(0, len(R), block):
+        m, se = _mean_se(R[a : a + block] / (n + 1 - d))
         estimates += m
         ses += se
     return count, estimates, ses
+
+
+def chain_run(kernel: DppKernel, samples: int, seed: int):
+    """The run of `btoep dpp`: the chain draws of the seeds
+    sample_seeds(samples, seed), as (lines, report).  report is their
+    sssp_statistics; lines yields the lines of their samples_to_jsonl one
+    at a time, each formatted from the occupancy matrix as it is read."""
+    seeds = sample_seeds(samples, seed)
+    X = _chain_occupancy(kernel, seeds)
+    return map(_jsonl_line, seeds, _points(X)), _statistics(kernel, X)
 
 
 def _statistics(kernel: DppKernel, X: np.ndarray) -> SsspReport:

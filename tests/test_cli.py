@@ -819,19 +819,22 @@ class TestFailedWrite:
 
     @pytest.mark.parametrize("argv, last", [
         (DPP, "run.diagnostics.csv"),
+        (["norm", "--symbol", CONST_ONE, "--q", "2", "--n", "2"], "run"),
+        (["verify", "--case", "A1", "--trials", "1"], "run"),
         (["table", "--symbol", CONST_ONE, "--q-max", "2", "--n-max", "2"], "run"),
     ])
     def test_write_that_fails_part_way(self, argv, last, tmp_path, capsys, monkeypatch):
         # a disk that fills during the last write: the file it created goes too
-        write_text = Path.write_text
+        def open_filling(path, mode="r"):
+            fh = open(path, mode)
+            if os.path.basename(path) == last:
+                def write(text):
+                    type(fh).write(fh, text[:10])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+                fh.write = write
+            return fh
 
-        def fill_then_fail(path, text):
-            if path.name == last:
-                write_text(path, text[:10])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            return write_text(path, text)
-
-        monkeypatch.setattr(Path, "write_text", fill_then_fail)
+        monkeypatch.setattr(cli, "open", open_filling, raising=False)
         code = main(argv + ["--out", str(tmp_path / "run")])
         self._expect_exit_1_and_no_output(tmp_path, capsys, code)
 

@@ -603,7 +603,7 @@ class TestSampleChains:
         monkeypatch.setattr(dpp, "_chains", lambda k, m, u: sizes.append(m) or chains(k, m, u))
         if chunk:
             # 142 chunks of 7 draws and a last one of 6
-            monkeypatch.setattr(dpp, "CHAIN_CHUNK_BYTES", chunk * dpp._chain_bytes(kernel))
+            monkeypatch.setattr(dpp, "CHUNK_BYTES", chunk * dpp._chain_bytes(kernel))
         assert dpp.sample_chains(kernel, seeds) == single
         assert sum(sizes) == 1000
         if chunk:
@@ -612,7 +612,7 @@ class TestSampleChains:
     def test_large_tree_shares_chunks(self, monkeypatch):
         # N = 131,071, far over the dense cap; two draws share a chunk
         bare = SimpleNamespace(shape=TreeShape(2, 16), symbol=RAISED_COS)
-        monkeypatch.setattr(dpp, "CHAIN_CHUNK_BYTES", 2 * dpp._chain_bytes(bare))
+        monkeypatch.setattr(dpp, "CHUNK_BYTES", 2 * dpp._chain_bytes(bare))
         seeds = [5, 6, 7]
         assert dpp.sample_chains(bare, seeds) == [dpp.sample_chain(bare, s) for s in seeds]
 
@@ -780,21 +780,43 @@ def test_diagnostics_csv_unchanged(f, q, n, seed, expected):
 
 
 @pytest.mark.parametrize("q, n", [(1, 0), (1, 6), (2, 0), (2, 1), (2, 5), (3, 3), (4, 2), (2, 9)])
-def test_pair_sums_match_the_gathers(q, n):
+def test_pair_sums_match_the_gathers(q, n, monkeypatch):
     """Counts and per-ray estimates of the generation recursion equal
-    those of a gather of each vertex's ancestor and of each ray's rows;
-    (2, 9) has 512 rays, two blocks of RAY_BLOCK."""
+    those of a gather of each vertex's ancestor and of each ray's rows,
+    with the rays in blocks of CHUNK_BYTES of float rows, 131 rays over
+    1000 draws ((2, 9) has 512 rays: three blocks of 131 and one of 119),
+    and again with a 1-byte budget, which gives one-ray blocks."""
     shape = TreeShape(q, n)
     N, starts = shape.vertex_count, np.asarray(shape.generation_starts)
     X = np.random.default_rng(10 * q + n).random((N, 1000)) < 0.4
     rays = starts[:-1] + np.arange(q**n)[:, None] // q ** np.arange(n, -1, -1)
-    anc = np.arange(N)
-    for d in range(n + 1):
-        pair = X[starts[d] :] & X[anc[starts[d] :]]
-        count, estimates, ses = dpp._pairs(X, shape, d)
-        assert np.array_equal(count, pair.sum(axis=0))
-        assert (estimates, ses) == dpp._mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
-        anc = (anc - 1) // q
+    for budget in (dpp.CHUNK_BYTES, 1):
+        monkeypatch.setattr(dpp, "CHUNK_BYTES", budget)
+        anc = np.arange(N)
+        for d in range(n + 1):
+            pair = X[starts[d] :] & X[anc[starts[d] :]]
+            count, estimates, ses = dpp._pairs(X, shape, d)
+            assert np.array_equal(count, pair.sum(axis=0))
+            assert (estimates, ses) == dpp._mean_se(pair[rays[:, d:] - starts[d]].sum(axis=1) / (n + 1 - d))
+            anc = (anc - 1) // q
+
+
+@pytest.mark.parametrize("q, n, f", [(2, 5, RAISED_COS), (2, 11, RAISED_COS), (1, 300, RAISED_COS), (3, 3, RADIUS2)])
+def test_chain_run_is_the_library_run(q, n, f, monkeypatch):
+    """chain_run's lines join to samples_to_jsonl of the same chain draws
+    and its report is their sssp_statistics, byte for byte.  At (2, 11)
+    the draws run in chunks of 7, staged in blocks of 70 and a last block
+    of 20; (1, 300) is a path."""
+    kernel = build_kernel(f, q, n)
+    sizes, chains = [], dpp._chains
+    monkeypatch.setattr(dpp, "_chains", lambda k, m, u: sizes.append(m) or chains(k, m, u))
+    lines, report = dpp.chain_run(kernel, 1000, 3)
+    if (q, n) == (2, 11):
+        assert sizes == [7] * 140 + [7, 7, 6]
+    monkeypatch.undo()
+    draws = dpp.sample_chains(kernel, dpp.sample_seeds(1000, 3))
+    assert "".join(lines) == samples_to_jsonl(draws)
+    assert report.to_csv() == sssp_statistics(kernel, draws).to_csv()
 
 
 class TestRayInvariance:
