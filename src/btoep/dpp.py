@@ -216,10 +216,15 @@ def sample(kernel: DppKernel, seed: int) -> DppSample:
     return DppSample(tuple(_sample_with_rng(kernel, rng)), int(seed))
 
 
+def _seed_array(n_samples: int, seed: int) -> np.ndarray:
+    """sample_seeds as an int64 array: 8 bytes a seed, not a Python int."""
+    return np.random.default_rng(seed).integers(0, 2**63, size=n_samples)
+
+
 def sample_seeds(n_samples: int, seed: int) -> list:
     """Per-sample seeds split off the base seed: draw t of a run is the
     draw of seed sample_seeds(n_samples, seed)[t]."""
-    return np.random.default_rng(seed).integers(0, 2**63, size=n_samples).tolist()
+    return _seed_array(n_samples, seed).tolist()
 
 
 def sample_many(kernel: DppKernel, n_samples: int, seed: int):
@@ -298,10 +303,16 @@ def _chain_occupancy(kernel: DppKernel, seeds) -> np.ndarray:
 
 def _points(X: np.ndarray):
     """The points of each draw, column by column of X, as sorted lists of
-    ints; the columns are read a block at a time, copied contiguous."""
+    ints; the columns are read a block at a time, copied contiguous as
+    rows, by one np.nonzero split by draw: it lists the points row by row,
+    each row's in ascending order."""
     for a in range(0, X.shape[1], POINTS_BLOCK):
-        for column in np.ascontiguousarray(X[:, a : a + POINTS_BLOCK].T):
-            yield np.flatnonzero(column).tolist()
+        rows = np.ascontiguousarray(X[:, a : a + POINTS_BLOCK].T)
+        points = np.nonzero(rows)[1]
+        start = 0
+        for end in np.count_nonzero(rows, axis=1).cumsum().tolist():
+            yield points[start:end].tolist()
+            start = end
 
 
 def sample_chains(kernel: DppKernel, seeds) -> list:
@@ -460,9 +471,11 @@ def chain_run(kernel: DppKernel, samples: int, seed: int):
     sample_seeds(samples, seed), as (lines, report).  report is their
     sssp_statistics; lines yields the lines of their samples_to_jsonl one
     at a time, each formatted from the occupancy matrix as it is read."""
-    seeds = sample_seeds(samples, seed)
+    seeds = _seed_array(samples, seed)
     X = _chain_occupancy(kernel, seeds)
-    return map(_jsonl_line, seeds, _points(X)), _statistics(kernel, X)
+    # the seeds become ints a block at a time, as the points do
+    ints = (s for a in range(0, samples, POINTS_BLOCK) for s in seeds[a : a + POINTS_BLOCK].tolist())
+    return map(_jsonl_line, ints, _points(X)), _statistics(kernel, X)
 
 
 def _statistics(kernel: DppKernel, X: np.ndarray) -> SsspReport:

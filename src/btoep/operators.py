@@ -161,17 +161,24 @@ class _Kernel:
             S, y = y, level(i)
             children = y[..., 1:, :].reshape(*lead, -1, q, d)
             children += S[..., None, :] if self.uniform else (S @ up).reshape(*lead, -1, q, d)
+            # the last S, |B_n| / q rows, would live through the descendant sums
+            del S, children
 
         # descendant sums: D holds, per surviving vertex, the adjoint
         # path-weighted sum of x over its depth-m descendants, for m up to
-        # s, the largest m <= radius with h(-m) != 0; deeper D_m go unread
+        # s, the largest m <= radius with h(-m) != 0; deeper D_m go unread.
+        # D_{m+1} is formed before D_m is scaled in place, so no c * D_m is
+        # allocated beside them
         s = max((m for m in range(1, radius + 1) if coeff(-m) != 0), default=0)
-        D = x
+        D = x[..., 1:, :].reshape(*lead, -1, q * d) @ down if s else None
         for m in range(1, s + 1):
-            D = D[..., 1:, :].reshape(*lead, -1, q * d) @ down
-            c = coeff(-m)
-            if c != 0:
-                y[..., : D.shape[-2], :] += c * D
+            below = D[..., 1:, :].reshape(*lead, -1, q * d) @ down if m < s else None
+            if (c := coeff(-m)) != 0:
+                # in place numpy rounds a one-element complex product
+                # differently from c * D, at every other length the same
+                D = np.multiply(c, D, out=D) if D.size > 1 else c * D
+                y[..., : D.shape[-2], :] += D
+            D = below
 
         return y.reshape(*lead, -1)
 

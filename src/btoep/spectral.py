@@ -132,7 +132,9 @@ def operator_norm(
         lam = new_lam
         streak = streak + 1 if change < tol else 0
         if streak >= 3 or it == max_iter:
-            residual = float(np.linalg.norm(z - lam * x) / max(lam, np.finfo(float).tiny))
+            # one temporary beside x and z: a subtraction rounds once, as in z - lam * x
+            r = lam * x
+            residual = float(np.linalg.norm(np.subtract(z, r, out=r)) / max(lam, np.finfo(float).tiny))
             # a norm past the float range reads inf, not an OverflowError
             norm = float(np.ldexp(np.sqrt(max(lam, 0.0)), e))
             return SpectralReport(norm, it, residual, streak >= 3)

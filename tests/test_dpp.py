@@ -461,6 +461,8 @@ class TestExactFactorization:
 RADIUS2 = Symbol({-2: 0.06 + 0.06j, -1: 0.12 - 0.08j, 0: 0.5, 1: 0.12 + 0.08j, 2: 0.06 - 0.06j})
 RADIUS3 = Symbol({-3: -0.08 - 0.03j, -2: -0.05j, -1: 0.1 - 0.05j, 0: 0.5,
                   1: 0.1 + 0.05j, 2: 0.05j, 3: -0.08 + 0.03j})
+# 0.34 points a draw on 15 vertices, 71% of the draws empty
+SPARSE = Symbol({-1: 0.01, 0: 0.02, 1: 0.01})
 
 
 def _replay(kernel, bits):
@@ -801,12 +803,16 @@ def test_pair_sums_match_the_gathers(q, n, monkeypatch):
             anc = (anc - 1) // q
 
 
-@pytest.mark.parametrize("q, n, f", [(2, 5, RAISED_COS), (2, 11, RAISED_COS), (1, 300, RAISED_COS), (3, 3, RADIUS2)])
+@pytest.mark.parametrize(
+    "q, n, f",
+    [(2, 5, RAISED_COS), (2, 11, RAISED_COS), (1, 300, RAISED_COS), (3, 3, RADIUS2), (2, 3, SPARSE)],
+)
 def test_chain_run_is_the_library_run(q, n, f, monkeypatch):
     """chain_run's lines join to samples_to_jsonl of the same chain draws
     and its report is their sssp_statistics, byte for byte.  At (2, 11)
     the draws run in chunks of 7, staged in blocks of 70 and a last block
-    of 20; (1, 300) is a path."""
+    of 20; (1, 300) is a path; at (2, 3) SPARSE leaves most draws empty,
+    so a block's points split over empty columns."""
     kernel = build_kernel(f, q, n)
     sizes, chains = [], dpp._chains
     monkeypatch.setattr(dpp, "_chains", lambda k, m, u: sizes.append(m) or chains(k, m, u))

@@ -384,6 +384,27 @@ class TestBlockNorms:
         assert peak < 8 * 16 * op.dim
 
 
+# N = 131,071, 265,720 and 299,593
+@pytest.mark.parametrize("q, n", [(2, 16), (3, 11), (8, 6)])
+def test_power_iteration_holds_about_three_vectors(q, n):
+    # the iterate x, its image M x, and inside M^*'s apply its output y and
+    # the two deepest descendant levels, N / q + N / q^2 entries; a tenth of
+    # a vector covers numpy's fixed buffers.  Keeping the last Horner level
+    # and a c * D_m beside them, and two temporaries in the final residual,
+    # took 4.5, 4.0 and 4.0 vectors of 16 N bytes
+    f = Symbol({-2: 0.06 + 0.06j, -1: 0.12 - 0.08j, 0: 0.5, 1: 0.12 + 0.08j, 2: 0.06 - 0.06j})
+    # the first call's lazy imports would count as allocations
+    operator_norm(BranchingOperator.uniform(2, 2, f))
+    op = BranchingOperator.uniform(q, n, f)
+    tracemalloc.start()
+    try:
+        assert operator_norm(op).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 + 1 / q + 1 / q**2 + 0.1) * 16 * op.dim
+
+
 class TestPositivity:
     def test_fejer_window_psd(self):
         f = Symbol({-1: 0.5, 0: 1, 1: 0.5})
