@@ -64,9 +64,9 @@ EXIT_KERNEL_REJECTED = 4
 EXIT_CAP_EXCEEDED = 5
 
 # norm refuses larger trees before allocating: a complex vector of 2**26
-# entries takes 1 GiB and the power iteration holds 3 + 1/q + 1/q**2 of
-# them at its peak (by tracemalloc: 3.75 at q = 2, 3.45 at q = 3, 3.15 at
-# q = 8), about 4 GiB at this limit
+# entries takes 1 GiB and the power iteration holds about 2 + 2/q of them
+# at its peak (by tracemalloc: 3.07 at q = 2, 2.70 at q = 3, 2.28 at
+# q = 8), about 3 GiB at this limit
 MAX_NORM_VERTICES = 2**26
 # the exact norm ||T_n|| that norm reports on stderr is a dense SVD of
 # order n + 1; only q = 1 can reach this order under MAX_NORM_VERTICES

@@ -453,10 +453,16 @@ def _pairs(X: np.ndarray, shape: TreeShape, d: int):
         for g in range(d, n + 1):
             # generation g, grouped under its q^(g - d) ancestors d generations up
             top = X[starts[g - d] : starts[g - d + 1], None]
-            pair = X[starts[g] : starts[g + 1]].reshape(len(top), -1, samples) & top
+            gen = X[starts[g] : starts[g + 1]].reshape(len(top), -1, samples)
+            # the pair bits go into the bytes of the new ray sums, whose parent
+            # sums are added in place; a bool sum counts in int64, a uint8 one
+            # in uint64, which the incomparable count would turn into float64
+            sums = np.empty(gen.shape, dtype=np.uint8)
+            pair = np.bitwise_and(gen, top, out=sums.view(bool))
             count = count + pair.sum(axis=(0, 1))
             # a ray sum is at most n + 1 < 64 on any tree with q >= 2 that fits in memory
-            R = (R[:, None] + pair.reshape(len(R), -1, samples)).reshape(-1, samples)
+            sums.reshape(len(R), -1, samples)[...] += R[:, None]
+            R = sums.reshape(-1, samples)
     estimates, ses = [], []
     block = max(1, CHUNK_BYTES // (8 * samples))
     for a in range(0, len(R), block):

@@ -104,6 +104,12 @@ def operator_norm(
     imaginary part of the coefficients h(k), |k| <= n, and scales the
     estimate back by 2^e: power-of-two scaling is exact, and M^* M then
     neither overflows nor underflows whatever the scale of the symbol.
+
+    An iteration holds x and M x, which M^*'s apply overwrites with
+    M^* M x, plus that apply's last Horner level and first descendant sum,
+    N / q rows each: about 2 + 2/q complex N-vectors at its peak, and one
+    more for weighted operators, whose last Horner step takes an N-row
+    product.  The residual is taken in x's storage.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -123,7 +129,9 @@ def operator_norm(
     lam = 0.0
     streak = 0
     for it in range(1, max_iter + 1):
-        z = adjoint.apply(op.apply(x))
+        # M x is dead once M^* reads it: M^* M x is written over it
+        y = op.apply(x)
+        z = adjoint.apply(y, out=y)
         new_lam = float(np.real(np.vdot(x, z)))
         znorm = np.linalg.norm(z)
         if znorm == 0.0:
@@ -132,8 +140,8 @@ def operator_norm(
         lam = new_lam
         streak = streak + 1 if change < tol else 0
         if streak >= 3 or it == max_iter:
-            # one temporary beside x and z: a subtraction rounds once, as in z - lam * x
-            r = lam * x
+            # in x's own storage, dead by now: a subtraction rounds once, as in z - lam * x
+            r = np.multiply(lam, x, out=x)
             residual = float(np.linalg.norm(np.subtract(z, r, out=r)) / max(lam, np.finfo(float).tiny))
             # a norm past the float range reads inf, not an OverflowError
             norm = float(np.ldexp(np.sqrt(max(lam, 0.0)), e))

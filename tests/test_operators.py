@@ -257,6 +257,77 @@ class TestStackedApply:
             op.apply(np.zeros(shape))
 
 
+def reference_apply(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
+    """The kernel product as apply formed it before it took an out array:
+    each Horner level and the output allocated from x, the output's last
+    Horner step taken before the descendant sums are read from x."""
+    shape, q, n, d = kernel.shape, kernel.shape.q, kernel.shape.depth, kernel.weights.shape[1]
+    lead = x.shape[:-1]
+    x = x.reshape(*lead, -1, d)
+    starts, coeff = shape.generation_starts, kernel.symbol.coeff
+    radius = min(n, kernel.symbol.support_radius)
+    down = kernel.weights.conj().reshape(q * d, d)
+    up = kernel.weights.transpose(2, 0, 1).reshape(d, q * d)
+
+    def level(i):
+        c = coeff(i) * (q ** (-i / 2) if kernel.uniform else 1.0)
+        return c * x[..., : starts[n - i + 1], :]
+
+    r = max((m for m in range(1, radius + 1) if coeff(m) != 0), default=0)
+    y = level(r)
+    for i in range(r - 1, -1, -1):
+        S, y = y, level(i)
+        children = y[..., 1:, :].reshape(*lead, -1, q, d)
+        children += S[..., None, :] if kernel.uniform else (S @ up).reshape(*lead, -1, q, d)
+    s = max((m for m in range(1, radius + 1) if coeff(-m) != 0), default=0)
+    D = x[..., 1:, :].reshape(*lead, -1, q * d) @ down if s else None
+    for m in range(1, s + 1):
+        below = D[..., 1:, :].reshape(*lead, -1, q * d) @ down if m < s else None
+        if (c := coeff(-m)) != 0:
+            D = np.multiply(c, D, out=D) if D.size > 1 else c * D
+            y[..., : D.shape[-2], :] += D
+        D = below
+    return y.reshape(*lead, -1)
+
+
+class TestApplyOverX:
+    """apply(x, out=x) writes the product over x with the bits of apply(x)
+    and of the algorithm that allocated its output: every level read from x
+    is formed before the output is written."""
+
+    @staticmethod
+    def kernels(rng, q):
+        for n in range(6):
+            for radius in range(4):
+                # zeros below the radius move the deepest Horner level and
+                # descendant sum that apply forms
+                f = Symbol({k: c for k, c in random_symbol(rng, radius).coeffs.items() if rng.random() < 0.7})
+                yield BranchingOperator.uniform(q, n, f)._kernel
+                yield BranchingOperator.with_weights(random_unit_weights(rng, q), n, f)._kernel
+                A = rng.standard_normal((q, 2, 2)) + 1j * rng.standard_normal((q, 2, 2))
+                yield _Kernel(A, TreeShape(q, n), f)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5])
+    def test_bytes_of_the_allocating_algorithm(self, q):
+        rng = np.random.default_rng(70 + q)
+        for kernel in self.kernels(rng, q):
+            length = kernel.shape.vertex_count * kernel.weights.shape[1]
+            # (k, 1) stacks at n = 0, d = 1 hold the one-element products
+            for lead in ((), (1,), (3,)):
+                x = rng.standard_normal((*lead, length)) + 1j * rng.standard_normal((*lead, length))
+                expected = reference_apply(kernel, x).tobytes()
+                assert kernel.apply(x).tobytes() == expected
+                z = x.copy()
+                assert kernel.apply(z, out=z) is z
+                assert z.tobytes() == expected
+
+    @pytest.mark.parametrize("out", [np.zeros(6, complex), np.zeros(7), np.zeros((1, 7), complex)])
+    def test_rejects_an_out_of_another_shape_or_type(self, out):
+        op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
+        with pytest.raises(ValueError, match="out must be a complex array"):
+            op.apply(np.zeros(7, complex), out=out)
+
+
 class TestAdjoint:
     def test_hermitian_symbol_self_adjoint(self):
         rng = np.random.default_rng(2)
