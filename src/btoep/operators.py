@@ -146,13 +146,11 @@ class _Kernel:
 
         out, a complex array of x's shape, receives the product and is
         returned; it may be x itself, since every level read from x is
-        formed before out is written."""
+        formed before the output is written."""
         shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
         x = np.asarray(x, dtype=complex)
         if x.ndim not in (1, 2) or x.shape[-1] != shape.vertex_count * d:
             raise ValueError(f"expected vector of length {shape.vertex_count * d}, got shape {x.shape}")
-        if out is not None and (out.shape != x.shape or out.dtype != complex):
-            raise ValueError(f"out must be a complex array of shape {x.shape}, got {out.dtype} {out.shape}")
         lead = x.shape[:-1]
         x = x.reshape(*lead, -1, d)
         starts = shape.generation_starts
@@ -191,17 +189,12 @@ class _Kernel:
             return D[..., 1:, :].reshape(*lead, -1, q * d) @ down
 
         s = max((m for m in range(1, radius + 1) if coeff(-m) != 0), default=0)
-        # out may be x, so S_1 and D_1 are read from x before out is written.
-        # A fresh output is written first and D_1 formed after S_1 is freed:
-        # D_1 formed first took M^* M x at (3, 10) from 1.4 to 2.2 ms, with
-        # fresh outputs on two BLAS threads (best of 200)
-        D = below(x) if s and out is not None else None
+        # out may be x, so S_1 and D_1 are read from x before the output is written
+        D = below(x) if s else None
         y = level(0) if out is None else level(0, out.reshape(x.shape))
         if r:
             descend(y, S)
         del S
-        if s and out is None:
-            D = below(x)
         for m in range(1, s + 1):
             deeper = below(D) if m < s else None
             if (c := coeff(-m)) != 0:

@@ -321,12 +321,6 @@ class TestApplyOverX:
                 assert kernel.apply(z, out=z) is z
                 assert z.tobytes() == expected
 
-    @pytest.mark.parametrize("out", [np.zeros(6, complex), np.zeros(7), np.zeros((1, 7), complex)])
-    def test_rejects_an_out_of_another_shape_or_type(self, out):
-        op = BranchingOperator.uniform(2, 2, Symbol({0: 1}))
-        with pytest.raises(ValueError, match="out must be a complex array"):
-            op.apply(np.zeros(7, complex), out=out)
-
 
 class TestAdjoint:
     def test_hermitian_symbol_self_adjoint(self):
