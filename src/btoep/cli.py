@@ -25,11 +25,14 @@ the dense cap on the tree of dpp or on the largest tree (q_max, n_max)
 of table, each decided from (q, n) before anything is built; dpp and
 table build no dense matrix but still refuse such trees.  verify exits 5
 too when a dense matrix it builds would be over the cap.
-Outputs depend only on the arguments and the seed, so reruns are
-byte-identical.  An empty --out, or an output path that names a
-directory, whose directory (for a symlink, its target's) does not exist,
-or whose file name is longer than that directory's NAME_MAX bytes, is
-refused before any work.  Files are written after all computation
+Outputs depend only on the arguments, the seed and the BLAS build and
+thread count, so reruns under one BLAS build and thread count are
+byte-identical.  Another thread count can move the last digits of norm's
+estimate and of verify's residuals (BLAS sums in another order), but
+not a verdict or an exit code.  An empty --out, or an output path that
+names a directory, whose directory (for a symlink, its target's) does
+not exist, or whose file name is longer than that directory's NAME_MAX
+bytes, is refused before any work.  Files are written after all computation
 succeeds (dpp's samples file is formatted line by line as it is written
 through, from the draws already made) and stdout is printed after them;
 any other failed write exits 1 with nothing on stdout and none of the

@@ -30,7 +30,10 @@ The dense matrix stays the independent oracle: operator_norm_dense is the
 2-norm of materialize(), the reference that the tests and
 sup_branching_norm (on trees of up to SANDWICH_DENSE_ROWS vertices)
 measure against, and radial_blocks measures the radial block structure of
-any dense matrix for the verify suites.  operator_norm is a matrix-free
+any dense matrix: the cross blocks and the two diagonal blocks come from
+_radial_split, which takes no SVD, so the block_decomposition suite of
+btoep.verify takes the complement's norm only when it can decide the
+verdict.  operator_norm is a matrix-free
 power iteration on x -> G* G x.  Its seeded start lies in the weighted
 radial subspace, which M and M* leave invariant and which carries T_n, so
 it converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n alone, not at the
@@ -204,21 +207,27 @@ class BlockNorms:
     total: float
 
 
-def radial_blocks(M: np.ndarray, shape):
-    """(cross, BlockNorms) of a dense matrix split along the radial subspace.
+def _radial_split(M: np.ndarray, shape):
+    """(cross, R, QMQ) of a dense matrix split along the radial subspace, no SVD.
 
     cross is the largest entry of the off-diagonal blocks P M Q and Q M P,
     with P = H H^T the rank-(n+1) radial projector and Q = I - P; both are
-    applied through H, never formed.
+    applied through H, never formed.  R is the radial block in the h-basis,
+    (n+1) x (n+1), and QMQ the complement block, N x N.
     """
     H = radial_basis(shape)
     A = H.T @ M  # (n+1, N)
-    R = A @ H  # radial block in the h-basis
+    R = A @ H
     QMP = (M @ H - H @ R) @ H.T
     cross = max(np.abs(H @ (A - R @ H.T)).max(), np.abs(QMP).max())
-    QMQ = M - H @ A - QMP
-    norms = BlockNorms(_spectral_norm(R), _spectral_norm(QMQ), _spectral_norm(M))
-    return float(cross), norms
+    return float(cross), R, M - H @ A - QMP
+
+
+def radial_blocks(M: np.ndarray, shape):
+    """(cross, BlockNorms) of a dense matrix split along the radial subspace:
+    _radial_split's cross and the norms of its two blocks and of M."""
+    cross, R, QMQ = _radial_split(M, shape)
+    return cross, BlockNorms(_spectral_norm(R), _spectral_norm(QMQ), _spectral_norm(M))
 
 
 def block_norms(op: BranchingOperator) -> BlockNorms:

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from btoep import operators, verify
+from btoep import operators, spectral, verify
+from btoep.tree import TreeShape
 
 
 @pytest.mark.parametrize(
@@ -23,3 +25,85 @@ def test_nan_residual_fails_the_suite(suite, monkeypatch):
     result = suite()
     assert result.passed is False
     assert math.isnan(result.residual)
+
+
+def reference_block_decomposition(seed=1, trials=20, fuzz=False) -> verify.SuiteResult:
+    """run_block_decomposition with all three norms of every case taken,
+    the gap |total - max(radial, complement)|."""
+    cross_tol, norm_tol = 1e-12, 1e-9
+    worst_cross = worst_norm = 0.0
+    for _, _, _, op in verify._cases(np.random.default_rng(seed), trials, range(1, 6)):
+        cross, b = spectral.radial_blocks(verify._maybe_fuzz(op.materialize(), fuzz), op.shape)
+        worst_cross = np.maximum(worst_cross, cross)
+        worst_norm = np.maximum(worst_norm, abs(b.total - max(b.radial, b.complement)))
+    passed = bool(worst_cross <= cross_tol and worst_norm <= norm_tol)
+    detail = f"cross={worst_cross:.3e} norm_gap={worst_norm:.3e}"
+    return verify.SuiteResult("block_decomposition", passed, float(np.maximum(worst_cross, worst_norm)), norm_tol, detail)
+
+
+class TestBlockDecomposition:
+    @pytest.mark.parametrize(
+        "seed, trials, fuzz", [(1, 20, False), (7, 6, False), (0, 3, False), (12, 2, False), (3, 1, False), (1, 2, True)]
+    )
+    def test_equals_the_suite_that_takes_every_norm(self, seed, trials, fuzz):
+        result = verify.run_block_decomposition(seed=seed, trials=trials, fuzz=fuzz)
+        expected = reference_block_decomposition(seed=seed, trials=trials, fuzz=fuzz)
+        assert result == expected
+        assert result.residual.hex() == expected.residual.hex()
+        assert result.passed is not fuzz
+
+    @staticmethod
+    def _spy(monkeypatch, nan_total=False):
+        """Record which block each _spectral_norm call of verify gets: "R" or
+        "QMQ" of the last _radial_split, or "M"; with nan_total, ||M|| reads NaN."""
+        calls, last = [], {}
+        split, norm = verify._radial_split, verify._spectral_norm
+
+        def recording_split(M, shape):
+            cross, R, QMQ = split(M, shape)
+            last.update(R=R, QMQ=QMQ)
+            return cross, R, QMQ
+
+        def recording_norm(A):
+            kind = next((k for k, B in last.items() if A is B), "M")
+            calls.append(kind)
+            return np.nan if nan_total and kind == "M" else norm(A)
+
+        monkeypatch.setattr(verify, "_radial_split", recording_split)
+        monkeypatch.setattr(verify, "_spectral_norm", recording_norm)
+        return calls
+
+    def test_takes_the_complement_when_the_radial_block_does_not_attain_the_norm(self, monkeypatch):
+        # zero cross blocks, a radial block of norm 0.1 and a complement of norm
+        # about 1: the radial block cannot decide, so the complement is taken
+        shape = TreeShape(2, 3)
+        rng = np.random.default_rng(0)
+        H = spectral.radial_basis(shape)
+        Q = np.eye(shape.vertex_count) - H @ H.T
+        C = rng.standard_normal((shape.vertex_count,) * 2) + 1j * rng.standard_normal((shape.vertex_count,) * 2)
+        M = 0.1 * H @ H.T + Q @ (C / np.linalg.norm(C, 2)) @ Q
+
+        dense = SimpleNamespace(shape=shape, materialize=M.copy)
+        monkeypatch.setattr(verify, "_cases", lambda rng, trials, ns: [(2, 3, None, dense)])
+        cross, b = spectral.radial_blocks(M, shape)
+        assert cross <= 1e-12 and b.complement > b.radial + 0.5 and abs(b.total - b.radial) > 1e-9
+        calls = self._spy(monkeypatch)
+        result = verify.run_block_decomposition(trials=1)
+        assert calls == ["R", "M", "QMQ"]
+        assert result.passed
+        assert result.residual == max(cross, abs(b.total - max(b.radial, b.complement)))
+
+    def test_a_nan_norm_takes_the_complement_and_fails(self, monkeypatch):
+        calls = self._spy(monkeypatch, nan_total=True)
+        result = verify.run_block_decomposition(trials=1)
+        # each of the 10 cases, q in (2, 3) and n = 1..5, takes all three norms
+        assert calls == ["R", "M", "QMQ"] * 10
+        assert result.passed is False
+        assert math.isnan(result.residual)
+
+    def test_default_sweep_takes_no_complement_norm(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        result = verify.run_block_decomposition()
+        assert result.passed
+        # 20 trials of q in (2, 3) and n = 1..5: ||R|| and ||M|| of each case
+        assert calls == ["R", "M"] * 200
