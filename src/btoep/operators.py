@@ -144,9 +144,9 @@ class _Kernel:
         row of a (k, |B_n| d) stack of them.  The stack is a leading axis, so
         every row takes the same products and loops as a vector alone.
 
-        out, a complex array of x's shape, receives the product and is
-        returned; it may be x itself, since every level read from x is
-        formed before the output is written."""
+        out, or a fresh array laid out like x, receives the product and is
+        returned; an out given is a complex array of x's shape and may be x
+        itself, since every level read from x is formed before it is written."""
         shape, q, n, d = self.shape, self.shape.q, self.shape.depth, self.weights.shape[1]
         x = np.asarray(x, dtype=complex)
         if x.ndim not in (1, 2) or x.shape[-1] != shape.vertex_count * d:
@@ -165,10 +165,9 @@ class _Kernel:
         # with h(m) != 0: S_r = h(r) x, S_i(v) = h(i) x[v] + A_j S_{i+1}(p) for
         # v child j of p on the generations <= n - i, and the output is S_0.
         # Uniform weights fold q^(-i/2) into S_i: each A_j step is a broadcast.
-        def level(i, out=None):
+        def level(i):
             c = coeff(i) * (q ** (-i / 2) if self.uniform else 1.0)
-            xs = x[..., : starts[n - i + 1], :]
-            return c * xs if out is None else _times(c, xs, out)
+            return c * x[..., : starts[n - i + 1], :]
 
         def descend(y, S):
             children = y[..., 1:, :].reshape(*lead, -1, q, d)
@@ -191,7 +190,8 @@ class _Kernel:
         s = max((m for m in range(1, radius + 1) if coeff(-m) != 0), default=0)
         # out may be x, so S_1 and D_1 are read from x before the output is written
         D = below(x) if s else None
-        y = level(0) if out is None else level(0, out.reshape(x.shape))
+        out = np.empty_like(x).reshape(*lead, -1) if out is None else out
+        y = _times(coeff(0) * 1.0, x, out.reshape(x.shape))  # level()'s factor: * 1.0 clears a -0.0 part
         if r:
             descend(y, S)
         del S
@@ -201,7 +201,7 @@ class _Kernel:
                 y[..., : D.shape[-2], :] += _times(c, D, D)
             D = deeper
 
-        return y.reshape(*lead, -1) if out is None else out
+        return out
 
     def materialize(self) -> np.ndarray:
         """Dense (|B_n| d) x (|B_n| d) matrix of d x d blocks."""
@@ -273,9 +273,9 @@ class BranchingOperator:
         return self._kernel.entry(u, v)[0, 0]
 
     def apply(self, x, out=None) -> np.ndarray:
-        """y[u] = sum_v entry(u, v) x[v] without forming the matrix; a
-        (k, |B_n|) stack gives the k products, one per row.  out, a complex
-        array of x's shape, receives y and may be x itself."""
+        """y[u] = sum_v entry(u, v) x[v] without forming the matrix, a (k, |B_n|)
+        stack giving the k products, one per row; y goes to out, a complex array
+        of x's shape that may be x itself, or to a fresh array, and is returned."""
         return self._kernel.apply(x, out)
 
     def materialize(self) -> np.ndarray:

@@ -25,18 +25,17 @@ radial_compress applies M to the weighted radial columns in one stacked
 product, and block_norms in chunks of columns within a fixed byte budget,
 one column at a time at large N.
 
-Every dense 2-norm is operators._spectral_norm, the top of one bare SVD.
-The dense matrix stays the independent oracle: operator_norm_dense is the
-2-norm of materialize(), the reference that the tests and
-sup_branching_norm (on trees of up to SANDWICH_DENSE_ROWS vertices)
-measure against, and radial_blocks measures the radial block structure of
-any dense matrix: the cross blocks and the two diagonal blocks come from
-_radial_split, which takes no SVD, so the block_decomposition suite of
-btoep.verify takes the complement's norm only when it can decide the
-verdict.  operator_norm is a matrix-free
-power iteration on x -> G* G x.  Its seeded start lies in the weighted
-radial subspace, which M and M* leave invariant and which carries T_n, so
-it converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n alone, not at the
+Every dense 2-norm is operators._spectral_norm, the top of one bare SVD.  The
+dense matrix stays the independent oracle: operator_norm_dense is the 2-norm
+of materialize(), the reference that the tests and sup_branching_norm (on
+trees of up to SANDWICH_DENSE_ROWS vertices) measure against, and
+radial_blocks measures the radial block structure of any dense matrix through
+_radial_split, which takes no SVD and no N x N product with the radial basis,
+so the block_decomposition suite of btoep.verify takes the complement's norm
+only when it can decide the verdict.  operator_norm is a matrix-free power
+iteration on x -> G* G x.  Its seeded start lies in the weighted radial
+subspace, which M and M* leave invariant and which carries T_n, so it
+converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n alone, not at the
 (||T_{n-1}|| / ||T_n||)^2 of a start with a complement part.
 """
 
@@ -211,16 +210,17 @@ def _radial_split(M: np.ndarray, shape):
     """(cross, R, QMQ) of a dense matrix split along the radial subspace, no SVD.
 
     cross is the largest entry of the off-diagonal blocks P M Q and Q M P,
-    with P = H H^T the rank-(n+1) radial projector and Q = I - P; both are
-    applied through H, never formed.  R is the radial block in the h-basis,
-    (n+1) x (n+1), and QMQ the complement block, N x N.
+    with P = H H^T the radial projector and Q = I - P; R is the radial block
+    in the h-basis and QMQ the complement.  Row v of H is s[k] e_k in v's
+    generation k, so H X and X H^T repeat s X's rows and X s's columns exactly.
     """
     H = radial_basis(shape)
+    s, sizes = H.max(axis=0), shape.generation_sizes
     A = H.T @ M  # (n+1, N)
     R = A @ H
-    QMP = (M @ H - H @ R) @ H.T
-    cross = max(np.abs(H @ (A - R @ H.T)).max(), np.abs(QMP).max())
-    return float(cross), R, M - H @ A - QMP
+    QMH = (M @ H - H @ R) * s  # Q M P's columns, one per generation
+    cross = max(np.abs(s[:, None] * (A - R @ H.T)).max(), np.abs(QMH).max())
+    return float(cross), R, M - np.repeat(s[:, None] * A, sizes, axis=0) - np.repeat(QMH, sizes, axis=1)
 
 
 def radial_blocks(M: np.ndarray, shape):

@@ -321,6 +321,35 @@ class TestApplyOverX:
                 assert kernel.apply(z, out=z) is z
                 assert z.tobytes() == expected
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_a_fresh_output_leaves_x_alone(self, q):
+        rng = np.random.default_rng(80 + q)
+        for kernel in self.kernels(rng, q):
+            length = kernel.shape.vertex_count * kernel.weights.shape[1]
+            for lead in ((), (1,), (3,)):
+                x = rng.standard_normal((*lead, length)) + 1j * rng.standard_normal((*lead, length))
+                # a transposed stack too: the fresh output is laid out like the product c * x
+                for xs in (x, np.asfortranarray(x)):
+                    before = xs.tobytes()
+                    y = kernel.apply(xs)
+                    assert y.shape == xs.shape and y.strides == reference_apply(kernel, xs).strides
+                    assert not np.shares_memory(y, xs)
+                    assert xs.tobytes() == before
+
+    def test_signed_zeros_of_the_allocating_algorithm(self):
+        # the adjoint of a real symbol has h(0) = c - 0j, and on an input with
+        # signed zeros h(0) * 1.0, every level's factor, sets the sign of a zero output
+        rng = np.random.default_rng(90)
+        for q in (1, 2, 3):
+            for n in range(4):
+                for radius in (0, 1):
+                    kernel = BranchingOperator.uniform(q, n, random_symbol(rng, radius, "A1")).adjoint()._kernel
+                    parts = rng.choice([-0.0, 0.0, 1.0], (2, 3, kernel.shape.vertex_count))
+                    x = parts[0] + 1j * parts[1]
+                    expected = reference_apply(kernel, x).tobytes()
+                    assert kernel.apply(x).tobytes() == expected
+                    assert kernel.apply(x, out=x).tobytes() == expected
+
 
 class TestAdjoint:
     def test_hermitian_symbol_self_adjoint(self):

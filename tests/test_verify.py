@@ -41,6 +41,48 @@ def reference_block_decomposition(seed=1, trials=20, fuzz=False) -> verify.Suite
     return verify.SuiteResult("block_decomposition", passed, float(np.maximum(worst_cross, worst_norm)), norm_tol, detail)
 
 
+def reference_radial_split(M, shape):
+    """_radial_split through N x N products with the dense radial basis H:
+    P M Q as (M H - H R) H^T, and H A in the complement block."""
+    H = spectral.radial_basis(shape)
+    A = H.T @ M
+    R = A @ H
+    QMP = (M @ H - H @ R) @ H.T
+    cross = max(np.abs(H @ (A - R @ H.T)).max(), np.abs(QMP).max())
+    return float(cross), R, M - H @ A - QMP
+
+
+class TestRadialSplit:
+    """_radial_split repeats the rows and columns that a product with H holds,
+    each entry the one term such a product adds to exact zeros, so its three
+    outputs keep the bytes of the products with the dense basis."""
+
+    @staticmethod
+    def matrices():
+        for seed in range(4):
+            for fuzz in (False, True):
+                for _, _, _, op in verify._cases(np.random.default_rng(seed), 2, range(1, 6)):
+                    yield verify._maybe_fuzz(op.materialize(), fuzz), op.shape
+        # paths (q = 1), whose generations hold one vertex each, and one-vertex trees (n = 0)
+        rng = np.random.default_rng(37)
+        for q, n in [(1, 1), (1, 4), (1, 9), (1, 0), (2, 0), (3, 0)]:
+            op = operators.BranchingOperator.uniform(q, n, verify.random_symbol(rng, n))
+            for fuzz in (False, True):
+                yield verify._maybe_fuzz(op.materialize(), fuzz), op.shape
+
+    def test_bytes_of_the_products_with_the_dense_basis(self):
+        count = 0
+        for M, shape in self.matrices():
+            cross, R, QMQ = spectral._radial_split(M, shape)
+            expected = reference_radial_split(M, shape)
+            assert cross.hex() == expected[0].hex()
+            assert R.shape == expected[1].shape and R.tobytes() == expected[1].tobytes()
+            assert QMQ.shape == expected[2].shape and QMQ.tobytes() == expected[2].tobytes()
+            count += 1
+        # 4 seeds x 2 fuzz x 20 cases of _cases, and 6 trees x 2
+        assert count == 172
+
+
 class TestBlockDecomposition:
     @pytest.mark.parametrize(
         "seed, trials, fuzz", [(1, 20, False), (7, 6, False), (0, 3, False), (12, 2, False), (3, 1, False), (1, 2, True)]
