@@ -28,15 +28,12 @@ one column at a time at large N.
 Every dense 2-norm is operators._spectral_norm, the top of one bare SVD.  The
 dense matrix stays the independent oracle: operator_norm_dense is the 2-norm
 of materialize(), the reference that the tests and sup_branching_norm (on
-trees of up to SANDWICH_DENSE_ROWS vertices) measure against, and
-radial_blocks measures the radial block structure of any dense matrix through
-_radial_split, which takes no SVD and no N x N product with the radial basis,
-so the block_decomposition suite of btoep.verify takes the complement's norm
-only when it can decide the verdict.  operator_norm is a matrix-free power
-iteration on x -> G* G x.  Its seeded start lies in the weighted radial
-subspace, which M and M* leave invariant and which carries T_n, so it
-converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n alone, not at the
-(||T_{n-1}|| / ||T_n||)^2 of a start with a complement part.
+trees of up to SANDWICH_DENSE_ROWS vertices) measure against.  operator_norm
+is a matrix-free power iteration on x -> G* G x.  Its seeded start lies in
+the weighted radial subspace, which M and M* leave invariant and which
+carries T_n, so it converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n
+alone, not at the (||T_{n-1}|| / ||T_n||)^2 of a start with a complement
+part.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "operator_norm_dense",
     "radial_basis",
     "radial_compress",
-    "radial_blocks",
     "block_norms",
     "BlockNorms",
     "certify_positive",
@@ -204,30 +200,6 @@ class BlockNorms:
     radial: float
     complement: float
     total: float
-
-
-def _radial_split(M: np.ndarray, shape):
-    """(cross, R, QMQ) of a dense matrix split along the radial subspace, no SVD.
-
-    cross is the largest entry of the off-diagonal blocks P M Q and Q M P,
-    with P = H H^T the radial projector and Q = I - P; R is the radial block
-    in the h-basis and QMQ the complement.  Row v of H is s[k] e_k in v's
-    generation k, so H X and X H^T repeat s X's rows and X s's columns exactly.
-    """
-    H = radial_basis(shape)
-    s, sizes = H.max(axis=0), shape.generation_sizes
-    A = H.T @ M  # (n+1, N)
-    R = A @ H
-    QMH = (M @ H - H @ R) * s  # Q M P's columns, one per generation
-    cross = max(np.abs(s[:, None] * (A - R @ H.T)).max(), np.abs(QMH).max())
-    return float(cross), R, M - np.repeat(s[:, None] * A, sizes, axis=0) - np.repeat(QMH, sizes, axis=1)
-
-
-def radial_blocks(M: np.ndarray, shape):
-    """(cross, BlockNorms) of a dense matrix split along the radial subspace:
-    _radial_split's cross and the norms of its two blocks and of M."""
-    cross, R, QMQ = _radial_split(M, shape)
-    return cross, BlockNorms(_spectral_norm(R), _spectral_norm(QMQ), _spectral_norm(M))
 
 
 def block_norms(op: BranchingOperator) -> BlockNorms:

@@ -21,19 +21,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btoep.operators import BranchingOperator, OperatorTuple, _Kernel, op_valued_materialize, toeplitz_dense
+from btoep.operators import (
+    BranchingOperator,
+    OperatorTuple,
+    _Kernel,
+    _spectral_norm,
+    op_valued_materialize,
+    toeplitz_dense,
+)
 from btoep.spectral import (
     _radial_lift,
     block_norms,
     certify_positive,
     norming_vector,
-    radial_blocks,
     radial_compress,
     singular_values,
 )
 from btoep.symbols import Symbol, SymbolClass, classify
 from btoep.tree import TreeShape, vertex_from_index
-from btoep.verify import random_unit_weights
+from btoep.verify import _radial_split, random_unit_weights
 
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 MAX_VERTICES = 1000
@@ -104,19 +110,20 @@ def test_certify_positive_matches_dense(op):
 
 @ORACLE
 @given(operators(uniform=True))
-def test_block_norms_match_radial_blocks(op):
+def test_block_norms_match_the_dense_radial_split(op):
     got = block_norms(op)
-    _, expected = radial_blocks(op.materialize(), op.shape)
-    assert abs(got.radial - expected.radial) <= 1e-12
-    assert abs(got.complement - expected.complement) <= 1e-12
-    assert abs(got.total - expected.total) <= 1e-12
+    M = op.materialize()
+    _, R, QMQ = _radial_split(M, op.shape)
+    assert abs(got.radial - _spectral_norm(R)) <= 1e-12
+    assert abs(got.complement - _spectral_norm(QMQ)) <= 1e-12
+    assert abs(got.total - _spectral_norm(M)) <= 1e-12
 
 
 @ORACLE
 @given(operators())
 def test_radial_routes_match_dense_on_both_weight_kinds(op):
-    # radial_blocks splits along the uniform radial basis only, so the
-    # weighted complement is measured on the projector of the weighted one
+    # verify._radial_split splits along the uniform radial basis only, so
+    # the weighted complement is measured on the projector of the weighted one
     f, n = op.symbol, op.shape.depth
     assert np.abs(radial_compress(op) - toeplitz_dense(f, n)).max() <= 1e-12
     got = block_norms(op)

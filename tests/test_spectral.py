@@ -269,6 +269,16 @@ class TestRadialCompression:
         assert len(lifts) == 1
         assert np.array_equal(C, E.conj().T @ op.apply(E.T).T)
 
+    def test_uniform_columns_are_the_exact_basis(self):
+        # btoep verify prints this compression's residual; the Kronecker lift's
+        # columns, products of q^(-1/2), change its bits
+        rng = np.random.default_rng(27)
+        for q in (2, 3, 5):
+            for n in range(1, 5):
+                op = BranchingOperator.uniform(q, n, random_symbol(rng, n))
+                H = radial_basis(op.shape)
+                assert np.array_equal(radial_compress(op), H.T @ op.apply(H.T).T)
+
     def test_basis_orthonormal(self):
         H = radial_basis(BranchingOperator.uniform(3, 4, Symbol({0: 1})).shape)
         assert np.allclose(H.T @ H, np.eye(5), atol=1e-14)

@@ -33,9 +33,11 @@ def reference_block_decomposition(seed=1, trials=20, fuzz=False) -> verify.Suite
     cross_tol, norm_tol = 1e-12, 1e-9
     worst_cross = worst_norm = 0.0
     for _, _, _, op in verify._cases(np.random.default_rng(seed), trials, range(1, 6)):
-        cross, b = spectral.radial_blocks(verify._maybe_fuzz(op.materialize(), fuzz), op.shape)
+        M = verify._maybe_fuzz(op.materialize(), fuzz)
+        cross, R, QMQ = verify._radial_split(M, op.shape)
+        radial, complement, total = (operators._spectral_norm(B) for B in (R, QMQ, M))
         worst_cross = np.maximum(worst_cross, cross)
-        worst_norm = np.maximum(worst_norm, abs(b.total - max(b.radial, b.complement)))
+        worst_norm = np.maximum(worst_norm, abs(total - max(radial, complement)))
     passed = bool(worst_cross <= cross_tol and worst_norm <= norm_tol)
     detail = f"cross={worst_cross:.3e} norm_gap={worst_norm:.3e}"
     return verify.SuiteResult("block_decomposition", passed, float(np.maximum(worst_cross, worst_norm)), norm_tol, detail)
@@ -73,7 +75,7 @@ class TestRadialSplit:
     def test_bytes_of_the_products_with_the_dense_basis(self):
         count = 0
         for M, shape in self.matrices():
-            cross, R, QMQ = spectral._radial_split(M, shape)
+            cross, R, QMQ = verify._radial_split(M, shape)
             expected = reference_radial_split(M, shape)
             assert cross.hex() == expected[0].hex()
             assert R.shape == expected[1].shape and R.tobytes() == expected[1].tobytes()
@@ -127,13 +129,14 @@ class TestBlockDecomposition:
 
         dense = SimpleNamespace(shape=shape, materialize=M.copy)
         monkeypatch.setattr(verify, "_cases", lambda rng, trials, ns: [(2, 3, None, dense)])
-        cross, b = spectral.radial_blocks(M, shape)
-        assert cross <= 1e-12 and b.complement > b.radial + 0.5 and abs(b.total - b.radial) > 1e-9
+        cross, R, QMQ = verify._radial_split(M, shape)
+        radial, complement, total = (operators._spectral_norm(B) for B in (R, QMQ, M))
+        assert cross <= 1e-12 and complement > radial + 0.5 and abs(total - radial) > 1e-9
         calls = self._spy(monkeypatch)
         result = verify.run_block_decomposition(trials=1)
         assert calls == ["R", "M", "QMQ"]
         assert result.passed
-        assert result.residual == max(cross, abs(b.total - max(b.radial, b.complement)))
+        assert result.residual == max(cross, abs(total - max(radial, complement)))
 
     def test_a_nan_norm_takes_the_complement_and_fails(self, monkeypatch):
         calls = self._spy(monkeypatch, nan_total=True)
