@@ -28,8 +28,9 @@ entries among those ancestors, which are nonzero already: there is no
 fill.  Siblings stay uncoupled, so one row of q^g uniforms decides all
 of generation g, and the updates reach the ancestors by sums over
 contiguous groups of q^d vertices.  The state is the diagonal and the
-band K[v, anc_d(v)], d = 1..r, built from the symbol alone: O(N r^2) per
-sample with no dense matrix and no eigenvectors.  sample_chains gives
+band K[v, anc_d(v)], d = 1..r, read from the entries of the uniform
+operator, BranchingOperator.uniform(q, n, symbol): O(N r^2) per sample
+with no dense matrix and no eigenvectors.  sample_chains gives
 the state a leading sample axis and runs the generation recursion once
 per chunk of about CHUNK_BYTES of state.  Each sample takes its N
 uniforms from one random(N) of its own default_rng(seed), the deepest
@@ -78,7 +79,7 @@ import numpy as np
 from .operators import BranchingOperator
 from .spectral import _block_spectrum
 from .symbols import Symbol, SymbolClass, classify
-from .tree import TreeShape
+from .tree import TreeShape, Vertex
 
 __all__ = [
     "DppKernel",
@@ -241,11 +242,13 @@ def _chains(kernel: DppKernel, samples: int, decide) -> np.ndarray:
     shape, f = kernel.shape, kernel.symbol
     q, n, N, starts = shape.q, shape.depth, shape.vertex_count, shape.generation_starts
     r, sizes = min(n, f.support_radius), shape.generation_sizes
-    # band[d - 1] = K[v, anc_d(v)] of the unconditioned kernel
-    band = np.array([f.coeff(d) * q ** (-d / 2) for d in range(1, r + 1)])
+    # K[v, v] and band[d - 1] = K[v, anc_d(v)] of the unconditioned kernel,
+    # the same for every v under uniform weights: read down the leftmost ray
+    entry, root = BranchingOperator.uniform(q, n, f).entry, Vertex(0, 0)
+    band = np.array([entry(Vertex(d, 0), root) for d in range(1, r + 1)])
     if not band.imag.any():  # same draws as complex, 0.18 s not 0.24 s for 1000 at (2, 11)
         band = band.real
-    diag = np.full((samples, N), f.coeff(0).real)
+    diag = np.full((samples, N), entry(root, root).real)
     L = np.zeros((samples, N, r), dtype=band.dtype)
     for d in range(1, r + 1):
         L[:, starts[d] :, d - 1] = band[d - 1]

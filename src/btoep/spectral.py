@@ -14,9 +14,10 @@ sum_j conj(a_j) c_j = 0.  singular_values, certify_positive, block_norms
 and norming_vector therefore take an operator and solve only its
 (k+1) x (k+1) blocks, with no dense cap: O(n^3) dense work plus O(N)
 output, plus for block_norms the 2(n+1) matrix-free products of its
-block-theorem check, O(nN) work (about 0.58 s at (q, n) = (2, 19)).  A
-spectrum sorts its (n+1)(n+2)/2 block values, then repeats each by its
-multiplicity, so its N values are never sorted.  T_{k-1} is a principal
+block-theorem check, O(nN) work (1.03 s at (q, n) = (2, 19), best of 5
+on a 2-core Xeon VM at one BLAS thread).  A spectrum sorts its
+(n+1)(n+2)/2 block values, then repeats each by its multiplicity, so its
+N values are never sorted.  T_{k-1} is a principal
 submatrix of T_k, so by interlacing the operator norm is ||T_n||, the
 complement of the radial block has norm ||T_{n-1}|| and a Hermitian
 operator's smallest eigenvalue is T_n's, so each spectrum builds T_n
@@ -27,8 +28,8 @@ one column at a time at large N.
 
 Every dense 2-norm is operators._spectral_norm, the top of one bare SVD.  The
 dense matrix stays the independent oracle: operator_norm_dense is the 2-norm
-of materialize(), the reference that the tests and sup_branching_norm (on
-trees of up to SANDWICH_DENSE_ROWS vertices) measure against.  operator_norm
+of materialize(), the reference that the tests and cn_sandwich (on trees
+of up to SANDWICH_DENSE_ROWS vertices) measure against.  operator_norm
 is a matrix-free power iteration on x -> G* G x.  Its seeded start lies in
 the weighted radial subspace, which M and M* leave invariant and which
 carries T_n, so it converges at the rate (s_2(T_n) / ||T_n||)^2 of T_n
@@ -57,7 +58,6 @@ __all__ = [
     "certify_positive",
     "singular_values",
     "norming_vector",
-    "sup_branching_norm",
     "cn_sandwich",
 ]
 
@@ -285,24 +285,6 @@ def norming_vector(op: BranchingOperator):
     return vec, float(s[0]), bool(spread <= RADIAL_TOL)
 
 
-def sup_branching_norm(f: Symbol, n: int, q_max: int) -> float:
-    """sup over q in [2, q_max] of the uniform-weight branching norm.
-
-    The row count alone picks the algorithm: trees of up to
-    SANDWICH_DENSE_ROWS vertices use the dense SVD, which raises
-    DenseCapError over the dense cap like every dense step; larger trees
-    fall back to the matrix-free power iteration, whose estimate approaches
-    the norm from below and therefore cannot fake a sandwich violation on
-    either side (the small-q dense values already anchor the lower bound).
-    """
-    sup = 0.0
-    for q in range(2, q_max + 1):
-        op = BranchingOperator.uniform(q, n, f)
-        est = operator_norm_dense(op) if op.dim <= SANDWICH_DENSE_ROWS else operator_norm(op).norm_estimate
-        sup = np.maximum(sup, est)
-    return float(sup)
-
-
 def cn_sandwich(f: Symbol, n: int, q_max: int):
     """(toeplitz_norm, sup over q in [2, q_max] of the branching norm, ratio).
 
@@ -310,10 +292,23 @@ def cn_sandwich(f: Symbol, n: int, q_max: int):
     pairs is sandwiched between the Toeplitz norm and three times it, and
     every branching norm is a lower bound for it.  This measures both
     sides; the cn_sandwich suite of btoep.verify judges the inequalities.
+
+    The branching norm is the uniform-weight one, and the row count alone
+    picks its algorithm for each q: trees of up to SANDWICH_DENSE_ROWS
+    vertices use the dense SVD, which raises DenseCapError over the dense
+    cap like every dense step; larger trees fall back to the matrix-free
+    power iteration, whose estimate approaches the norm from below and
+    therefore cannot fake a sandwich violation on either side (the small-q
+    dense values already anchor the lower bound).
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     t_norm = _spectral_norm(toeplitz_dense(f, n))
-    sup = sup_branching_norm(f, n, q_max)
+    sup = 0.0
+    for q in range(2, q_max + 1):
+        op = BranchingOperator.uniform(q, n, f)
+        est = operator_norm_dense(op) if op.dim <= SANDWICH_DENSE_ROWS else operator_norm(op).norm_estimate
+        sup = np.maximum(sup, est)
+    sup = float(sup)
     ratio = sup / t_norm if t_norm > 0 else 1.0
     return t_norm, sup, ratio

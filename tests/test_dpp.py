@@ -712,6 +712,23 @@ def test_sample_chains_unchanged():
         (4309790304812660981, (0, 1, 6, 8, 9, 12)),
         (3417264201368325689, (2, 3, 4, 5, 6, 8, 9, 10, 14)),
     ]
+    # radius 3 with -0.0 imaginary parts at h(0) and h(2), a band of three
+    # complex entries, two of them with a nonzero imaginary part
+    neg_zero = Symbol({-3: complex(0.04, 0.04), -2: complex(0.08, 0.0), -1: complex(0.1, 0.05),
+                       0: complex(0.5, -0.0), 1: complex(0.1, -0.05), 2: complex(0.08, -0.0),
+                       3: complex(0.04, -0.04)})
+    draws = dpp.sample_chains(build_kernel(neg_zero, 4, 2), dpp.sample_seeds(1000, 2026))
+    assert [(s.rng_seed, s.occupied) for s in draws[:4]] == [
+        (1650382356873837781, (0, 1, 5, 7, 8, 12, 14, 15, 16, 18)),
+        (5902157198672373343, (4, 6, 7, 9, 10, 13, 14, 16, 18, 20)),
+        (4309790304812660981, (0, 6, 7, 10, 17, 19)),
+        (3417264201368325689, (0, 1, 3, 6, 7, 8, 12, 13, 14, 15, 16, 18, 20)),
+    ]
+    # the leaves go first with h(0) alone; the counts of the 1000 draws
+    # reach the ancestors' conditioned marginals, which four draws can miss
+    assert np.bincount([i for s in draws for i in s.occupied]).tolist() == [
+        500, 474, 501, 505, 480, 505, 509, 502, 483, 513, 491, 476, 508, 498, 504, 523, 508, 511, 488, 506, 489,
+    ]
 
 
 CSV_COMPLEX_HERM_2_3 = """\

@@ -20,7 +20,6 @@ from btoep.spectral import (
     radial_basis,
     radial_compress,
     singular_values,
-    sup_branching_norm,
 )
 from btoep.symbols import Symbol, sup_norm
 from btoep.verify import random_symbol, random_unit_weights, run_cn_sandwich
@@ -608,7 +607,9 @@ class TestCnSandwich:
     def test_violation_fails_the_suite(self, monkeypatch):
         # a sup over 3 ||T_n|| is a failed suite and exit 3, not an exception
         monkeypatch.setattr(
-            spectral, "sup_branching_norm", lambda f, n, q_max: 4 * float(np.linalg.norm(toeplitz_dense(f, n), 2))
+            spectral,
+            "operator_norm_dense",
+            lambda op: 4 * float(np.linalg.norm(toeplitz_dense(op.symbol, op.shape.depth), 2)),
         )
         assert not run_cn_sandwich(seed=5, trials=5).passed
         assert cli.main(["verify", "--trials", "1"]) == cli.EXIT_VERIFY_FAILED
@@ -626,7 +627,7 @@ class TestCnSandwich:
             lambda op, **kw: estimates.setdefault(op.shape.q, power(op, **kw)),
         )
         exact = np.linalg.norm(toeplitz_dense(BENCH, 4), 2)
-        assert abs(sup_branching_norm(BENCH, 4, 8) - exact) <= 1e-9
+        assert abs(cn_sandwich(BENCH, 4, 8)[1] - exact) <= 1e-9
         assert sorted(estimates) == [6, 7, 8]
         for report in estimates.values():
             assert report.converged
@@ -637,7 +638,6 @@ class TestCnSandwich:
         # must reach the sup, not lose to the finite dense values at q = 2..5
         monkeypatch.setattr(spectral, "operator_norm", lambda op, **kw: SimpleNamespace(norm_estimate=math.nan))
         f = Symbol({-1: 0.3, 0: 0.5, 1: 0.2j})
-        assert math.isnan(sup_branching_norm(f, 4, 6))
         assert math.isnan(cn_sandwich(f, 4, 6)[1])
 
     def test_dense_rows_alone_pick_the_dense_svd(self, monkeypatch):
@@ -645,13 +645,13 @@ class TestCnSandwich:
         # the default cap, no power iteration
         monkeypatch.setattr(spectral, "operator_norm", lambda *a, **kw: pytest.fail("power iteration ran"))
         exact = np.linalg.norm(toeplitz_dense(BENCH, 4), 2)
-        assert abs(sup_branching_norm(BENCH, 4, 5) - exact) <= 1e-9
+        assert abs(cn_sandwich(BENCH, 4, 5)[1] - exact) <= 1e-9
 
     def test_dense_cap_does_not_swap_the_algorithm(self, monkeypatch):
         # under a cap of 700 the 781-vertex tree is refused, not iterated
         monkeypatch.setenv("BTOEP_DENSE_CAP", "700")
         with pytest.raises(operators.DenseCapError):
-            sup_branching_norm(BENCH, 4, 5)
+            cn_sandwich(BENCH, 4, 5)
 
     def test_fuzzed_suite_fails_on_every_seed(self):
         # the seeds and sizes btoep verify --fuzz-entry runs for seeds 0..19
