@@ -3,53 +3,14 @@
 Construction and fast matrix-free application of the truncated kernels,
 classical Toeplitz comparisons, spectral analysis (norms, block structure,
 positivity certificates), and sampling of the induced determinantal point
-processes.
+processes.  The package exports exactly the ``__all__`` of its library
+modules dpp, operators, spectral, symbols and tree.
 """
 
-from .dpp import (
-    DppKernel,
-    DppSample,
-    build_kernel,
-    sample,
-    sample_chain,
-    sample_chains,
-    sample_many,
-    sample_seeds,
-    sssp_diagnostics,
-    sssp_statistics,
-)
-from .operators import (
-    BranchingOperator,
-    OperatorTuple,
-    WeightVector,
-    gauge_transform,
-    op_valued_entry,
-    op_valued_materialize,
-    toeplitz_dense,
-)
-from .spectral import (
-    SpectralReport,
-    block_norms,
-    certify_positive,
-    cn_sandwich,
-    norming_vector,
-    operator_norm,
-    operator_norm_dense,
-    radial_basis,
-    radial_compress,
-    singular_values,
-)
-from .symbols import (
-    Symbol,
-    SymbolClass,
-    classify,
-    conjugate,
-    fejer_kernel,
-    fejer_smooth,
-    poly_product,
-    rotate,
-    sup_norm,
-)
-from .tree import Comparability, Relation, TreeShape, Vertex, comparability, linear_index
+from .dpp import *
+from .operators import *
+from .spectral import *
+from .symbols import *
+from .tree import *
 
 __version__ = "0.1.0"

@@ -98,7 +98,7 @@ class Symbol:
     def from_json(cls, text: str) -> "Symbol":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid symbol JSON: {exc}") from exc
         if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
             raise ValueError('symbol JSON must be an object with a "coeffs" list')

@@ -30,6 +30,7 @@ from .symbols import Symbol, fejer_kernel, poly_product
 __all__ = [
     "SuiteResult",
     "random_symbol",
+    "random_unit_weights",
     "run_radial_compression",
     "run_block_decomposition",
     "run_case_equalities",

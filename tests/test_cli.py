@@ -727,6 +727,27 @@ class TestInputGate:
         assert "usage:" not in proc.stderr and proc.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["--symbol", "--symbol-file"])
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--q", "2", "--n", "2"],
+        ["table", "--q-max", "2", "--n-max", "2"],
+        ["dpp", "--q", "2", "--n", "2", "--samples", "1000"],
+    ])
+    def test_symbol_nested_past_the_recursion_limit(self, argv, source, tmp_path):
+        # json.loads raises RecursionError, which must end as an error line
+        nested = "[" * 100_000
+        if source == "--symbol-file":
+            (tmp_path / "nested.json").write_text(nested)
+            nested = "nested.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "btoep.cli", *argv, source, nested, "--out", "out"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestOutDirectory:
     """An --out that names a directory is refused before any work."""

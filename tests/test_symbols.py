@@ -64,6 +64,9 @@ class TestConstruction:
             '{"coeffs": [[0, true, false]]}',
             '{"coeffs": [[0, 1, true]]}',
             '{"coeffs": [[0, 1%s, 0]]}' % ("0" * 400),
+            # nested past the recursion limit: json.loads raises RecursionError
+            "[" * 100_000,
+            '{"coeffs": %s}' % ("[" * 100_000 + "]" * 100_000),
         ):
             with pytest.raises(ValueError):
                 Symbol.from_json(text)
